@@ -31,8 +31,6 @@ from .channel import (
     WaveSet,
     assemble_channel,
     calibrate_normalization,
-    sample_waves,
-    wave_stream,
 )
 from .engine import (
     ComparisonReport,
@@ -102,13 +100,11 @@ __all__ = [
     "regular_layout",
     "run_realization",
     "run_simulation",
-    "sample_waves",
     "sinr_gain",
     "sum_rate",
     "sweep",
     "synthesize_aperiodic",
     "uplink_zf_sinr",
-    "wave_stream",
     "write_layout_csv",
     "zf_precoder",
 ]

@@ -12,10 +12,10 @@ of user k over elements at positions x_m (in wavelengths) is
 with g the Huygens element pattern and cos(psi) the scalar polarization
 mismatch between the wave and a co-polarized array.
 
-All randomness flows through per-(realization, user) streams derived from
-(master_seed, stream_kind, realization_index, ue_index) via numpy's
-SeedSequence, so any realization can be regenerated in isolation and in
-any order.
+All randomness comes from Philox4x32-10 keyed by the 64-bit master_seed
+(low word, high word): call c of realization r, user k and stream kind has
+counter (c, k, r mod 2^32, r >> 32 | kind << 28), so any realization can be
+regenerated from its index alone and in any order.
 """
 
 from dataclasses import dataclass
@@ -96,55 +96,56 @@ class Environment:
         return f"intermediate({self.waves_per_ue})"
 
 
-def wave_stream(master_seed: int, kind: int, realization: int, ue: int) -> np.random.Generator:
-    """Independent random stream for one (realization, user) pair."""
-    return np.random.default_rng([master_seed, kind, realization, ue])
+_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_PHILOX_CHUNK = 1 << 16  # uniforms per Philox pass: keeps temporaries in cache
 
 
-def _draw_wave_params(rng: np.random.Generator, num_waves: int):
-    """Draw (aoa, amplitude, phase, pol_angle) arrays from one stream.
-
-    Consumes exactly 4 * num_waves uniforms in a fixed order; both the
-    object-level sampler and the engine's batch path rely on this layout.
-    """
-    u = rng.random(4 * num_waves)
-    aoa = (2.0 * u[:num_waves] - 1.0) * SECTOR_HALF_ANGLE
-    amplitude = u[num_waves : 2 * num_waves]
-    phase = 2.0 * np.pi * u[2 * num_waves : 3 * num_waves]
-    pol_angle = np.pi * u[3 * num_waves :]
-    return aoa, amplitude, phase, pol_angle
-
-
-def sample_waves(env: Environment, rng: np.random.Generator) -> WaveSet:
-    """Sample one user's wave set for the given environment."""
-    aoa, amplitude, phase, pol = _draw_wave_params(rng, env.waves_per_ue)
-    return WaveSet(
-        tuple(
-            PlaneWave(aoa[i], amplitude[i], phase[i], pol[i])
-            for i in range(env.waves_per_ue)
-        )
-    )
+def _philox4x32(counter, key):
+    """Philox4x32-10 (SC'11) on 32-bit words held in broadcastable uint64 arrays."""
+    c0, c1, c2, c3 = (np.array(c, dtype=np.uint64, order="C")
+                      for c in np.broadcast_arrays(*counter))
+    p0, p1 = np.empty_like(c0), np.empty_like(c0)
+    for rnd in range(10):  # in place, to keep the working set small
+        np.multiply(c0, _PHILOX_M[0], out=p0)
+        np.multiply(c2, _PHILOX_M[1], out=p1)
+        np.right_shift(p1, 32, out=c0)
+        c0 ^= c1
+        c0 ^= (key[0] + rnd * _PHILOX_W[0]) & 0xFFFFFFFF
+        np.bitwise_and(p1, _MASK32, out=c1)
+        np.right_shift(p0, 32, out=c2)
+        c2 ^= c3
+        c2 ^= (key[1] + rnd * _PHILOX_W[1]) & 0xFFFFFFFF
+        np.bitwise_and(p0, _MASK32, out=c3)
+    return c0, c1, c2, c3
 
 
 def sample_wave_blocks(master_seed, kind, indices, num_users, num_waves):
     """Wave parameters for a range of realizations, as (n, K, L) arrays.
 
-    Each (realization, user) pair draws from its own stream, so the result
-    is independent of how realizations are grouped into blocks.
+    Philox call c of (realization r, user k) has counter (c, k, r mod 2^32,
+    r >> 32 | kind << 28) and key master_seed. Its words w0..w3 give uniforms
+    2c and 2c + 1 as the 53-bit fractions (w0 >> 5, w1 >> 6), (w2 >> 5,
+    w3 >> 6). Of each pair's 4L uniforms, L set the angles of arrival, then L
+    each the amplitudes, phases and polarizations. Any (r, k) regenerates
+    alone, so draws do not depend on how realizations are grouped.
     """
-    n = len(indices)
-    shape = (n, num_users, num_waves)
-    aoa = np.empty(shape)
-    amplitude = np.empty(shape)
-    phase = np.empty(shape)
-    pol = np.empty(shape)
-    for j, idx in enumerate(indices):
-        for k in range(num_users):
-            rng = wave_stream(master_seed, kind, int(idx), k)
-            aoa[j, k], amplitude[j, k], phase[j, k], pol[j, k] = _draw_wave_params(
-                rng, num_waves
-            )
-    return aoa, amplitude, phase, pol
+    r = np.asarray(indices, dtype=np.uint64).reshape(-1, 1, 1)
+    ue = np.arange(num_users, dtype=np.uint64).reshape(-1, 1)
+    calls = np.arange(2 * num_waves, dtype=np.uint64)
+    key = (master_seed & 0xFFFFFFFF, master_seed >> 32)
+    u = np.empty((len(r), num_users, 4 * num_waves))
+    step = max(1, _PHILOX_CHUNK // u[0].size)
+    for s in range(0, len(r), step):
+        rs = r[s : s + step]
+        w = _philox4x32((calls, ue, rs & _MASK32, (rs >> 32) | (kind << 28)), key)
+        for h in range(2):
+            bits = (w[2 * h] >> 5 << 26) | (w[2 * h + 1] >> 6)
+            np.multiply(bits, 2.0**-53, out=u[s : s + step, :, h::2])
+    L = num_waves
+    aoa, amp, phase, pol = (u[..., i * L : (i + 1) * L] for i in range(4))
+    return (2.0 * aoa - 1.0) * SECTOR_HALF_ANGLE, amp, 2.0 * np.pi * phase, np.pi * pol
 
 
 def wave_field(positions, aoa, amplitude, phase, pol_angle, norm: float):

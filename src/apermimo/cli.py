@@ -137,6 +137,8 @@ _SCENARIO_FLAGS = (
 
 
 def _scenario_values_from_args(ns) -> dict:
+    if ns.workers < 1:
+        raise ConfigError(f"--workers: must be at least 1, got {ns.workers}")
     values = {}
     if ns.config:
         path = Path(ns.config)

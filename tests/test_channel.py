@@ -11,9 +11,7 @@ from apermimo.channel import (
     calibrate_normalization,
     calibration_from_samples,
     sample_wave_blocks,
-    sample_waves,
     wave_field,
-    wave_stream,
 )
 
 SEED = 424242
@@ -59,9 +57,18 @@ def test_environment_labels():
         Environment(waves_per_ue=21)
 
 
-def test_sample_waves_counts_and_ranges():
-    rng = wave_stream(SEED, channel.STREAM_EVAL, 0, 0)
-    ws = sample_waves(Environment(waves_per_ue=20), rng)
+def _waveset(params, i=0, k=0):
+    """WaveSet of user k in realization row i of sample_wave_blocks output."""
+    waves = params[0].shape[-1]
+    return WaveSet(
+        waves=[PlaneWave(*(float(p[i, k, l]) for p in params)) for l in range(waves)]
+    )
+
+
+def test_wave_blocks_counts_and_ranges():
+    params = sample_wave_blocks(SEED, channel.STREAM_EVAL, [0], 1, 20)
+    assert all(p.shape == (1, 1, 20) for p in params)
+    ws = _waveset(params)
     assert len(ws.waves) == 20
     for w in ws.waves:
         assert -np.pi / 3 <= w.aoa <= np.pi / 3
@@ -70,9 +77,9 @@ def test_sample_waves_counts_and_ranges():
         assert 0.0 <= w.pol_angle < np.pi
 
 
-def test_sample_waves_single_for_rlos():
-    rng = wave_stream(SEED, channel.STREAM_EVAL, 1, 0)
-    assert len(sample_waves(Environment(waves_per_ue=1), rng).waves) == 1
+def test_wave_blocks_single_for_rlos():
+    params = sample_wave_blocks(SEED, channel.STREAM_EVAL, [1], 1, 1)
+    assert len(_waveset(params).waves) == 1
 
 
 def test_aoa_mean_converges_to_broadside():
@@ -82,14 +89,106 @@ def test_aoa_mean_converges_to_broadside():
     assert abs(aoa.mean()) < 3 * sigma / np.sqrt(n)
 
 
-def test_wave_stream_reproducible_and_distinct():
-    a = wave_stream(SEED, channel.STREAM_EVAL, 7, 3).random(8)
-    b = wave_stream(SEED, channel.STREAM_EVAL, 7, 3).random(8)
-    c = wave_stream(SEED, channel.STREAM_EVAL, 7, 4).random(8)
-    d = wave_stream(SEED, channel.STREAM_CALIBRATION, 7, 3).random(8)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert not np.array_equal(a, d)
+def _draws(seed=SEED, kind=channel.STREAM_EVAL, r=7, k=3, waves=2):
+    """The 4 * waves parameters of one (realization, user) pair, flattened."""
+    params = sample_wave_blocks(seed, kind, [r], k + 1, waves)
+    return np.concatenate([p[0, k] for p in params])
+
+
+def test_wave_blocks_reproducible_and_distinct():
+    a = _draws()
+    np.testing.assert_array_equal(a, _draws())
+    assert not np.array_equal(a, _draws(k=4))
+    assert not np.array_equal(a, _draws(kind=channel.STREAM_CALIBRATION))
+    # every counter and key word takes part: high realization and seed words
+    assert not np.array_equal(a, _draws(r=2**32 + 7))
+    assert not np.array_equal(a, _draws(seed=SEED + (1 << 32)))
+    assert not np.array_equal(_draws(r=0, k=0), _draws(r=0, k=0, seed=SEED + (1 << 40)))
+
+
+@pytest.mark.parametrize(
+    "counter, key, expected",
+    [
+        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2,
+         (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+         (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+    ],
+)
+def test_philox_known_answers(counter, key, expected):
+    """Random123 known-answer vectors for Philox4x32-10."""
+    assert tuple(int(w) for w in channel._philox4x32(counter, key)) == expected
+
+
+def test_wave_blocks_follow_counter_layout():
+    """Every parameter rebuilt one Philox call at a time with Python scalars."""
+    seed = (0x1234_5678 << 32) | 0x9ABC_DEF0
+    kind = channel.STREAM_SYNTHESIS
+    indices = [0, 5, 2**32 + 3]
+    L = 3
+    params = sample_wave_blocks(seed, kind, indices, 2, L)
+    maps = (
+        lambda u: (2.0 * u - 1.0) * channel.SECTOR_HALF_ANGLE,
+        lambda u: u,
+        lambda u: 2.0 * np.pi * u,
+        lambda u: np.pi * u,
+    )
+    key = (seed & 0xFFFFFFFF, seed >> 32)
+    for i, r in enumerate(indices):
+        for k in range(2):
+            uniforms = []
+            for c in range(2 * L):
+                ctr = (c, k, r & 0xFFFFFFFF, (r >> 32) | kind << 28)
+                w = [int(x) for x in channel._philox4x32(ctr, key)]
+                for h in range(2):
+                    bits = (w[2 * h] >> 5) * 2**26 + (w[2 * h + 1] >> 6)
+                    assert bits < 2**53
+                    uniforms.append(bits / 2**53)
+            for q, u in enumerate(uniforms):
+                assert params[q // L][i, k, q % L] == maps[q // L](u)
+
+
+@pytest.mark.parametrize("k, waves", [(3, 1), (4, 20)])
+def test_wave_blocks_independent_of_grouping(k, waves):
+    # at 4 users x 20 waves the 1000 realizations span several Philox passes
+    full = sample_wave_blocks(SEED, channel.STREAM_EVAL, range(1000), k, waves)
+    part = sample_wave_blocks(SEED, channel.STREAM_EVAL, range(200, 210), k, waves)
+    one = sample_wave_blocks(SEED, channel.STREAM_EVAL, [607], k, waves)
+    for f, p, o in zip(full, part, one):
+        np.testing.assert_array_equal(p, f[200:210])
+        np.testing.assert_array_equal(o[0], f[607])
+
+
+def test_wave_parameters_in_half_open_ranges():
+    """Uniforms lie in [0, 1), so no parameter reaches its upper edge."""
+    indices = np.r_[0:5000, 2**32 - 5 : 2**32 + 5, 2**60 : 2**60 + 10]
+    upper = (np.pi / 3, 1.0, 2 * np.pi, np.pi)
+    lower = (-np.pi / 3, 0.0, 0.0, 0.0)
+    for seed in (0, SEED, 2**64 - 1):
+        params = sample_wave_blocks(seed, channel.STREAM_EVAL, indices, 4, 2)
+        for p, lo, hi in zip(params, lower, upper):
+            assert p.min() >= lo and p.max() < hi
+
+
+@pytest.mark.parametrize(
+    "which, cdf",
+    [
+        (0, lambda x: (x + np.pi / 3) / (2 * np.pi / 3)),
+        (1, lambda x: x),
+        (2, lambda x: x / (2 * np.pi)),
+        (3, lambda x: x / np.pi),
+    ],
+    ids=["aoa", "amplitude", "phase", "pol_angle"],
+)
+def test_wave_parameters_match_closed_form(which, cdf):
+    """Kolmogorov-Smirnov distance below the 0.1% critical value 1.95/sqrt(n)."""
+    params = sample_wave_blocks(SEED, channel.STREAM_EVAL, range(4000), 3, 5)
+    x = np.sort(params[which].ravel())
+    n = x.size
+    f = cdf(x)
+    d = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+    assert d < 1.95 / np.sqrt(n)
 
 
 def test_broadside_unit_wave_gives_unit_row():
@@ -202,8 +301,7 @@ def test_wave_field_matches_assemble_channel():
 
 def test_single_wave_row_has_constant_modulus():
     lay = regular_layout(9, 8.0)
-    rng = wave_stream(SEED, channel.STREAM_EVAL, 5, 0)
-    ws = sample_waves(Environment(waves_per_ue=1), rng)
+    ws = _waveset(sample_wave_blocks(SEED, channel.STREAM_EVAL, [5], 1, 1))
     h = assemble_channel(lay, [ws], norm=1.0)
     mags = np.abs(h[0])
     np.testing.assert_allclose(mags, mags[0], rtol=1e-12)

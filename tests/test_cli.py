@@ -178,6 +178,19 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert "config-error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--M", "4", "--K", "2", "--workers", "0"],
+    ["synthesize", "--M", "4", "--K", "2", "--workers", "0"],
+    ["compare", "--M", "4", "--K", "2", "--workers", "0"],
+    ["sweep", "--bs-counts", "8", "--crowdedness", "0.25", "--workers", "-1"],
+], ids=["simulate", "synthesize", "compare", "sweep"])
+def test_workers_below_one_is_config_error(tmp_path, capsys, argv):
+    code = _run(argv + ["--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "config-error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory\n")
