@@ -66,15 +66,16 @@ def huygens_gain(theta):
     return 0.5 * (1.0 + np.cos(theta))
 
 
-def write_layout_csv(layout: ArrayLayout, path) -> None:
-    """Write a layout as CSV, one position per line.
-
-    Positions use shortest round-trip formatting so the file parses back to
-    the exact same layout.
-    """
+def layout_csv_text(layout: ArrayLayout) -> str:
+    """A layout as CSV text: one shortest round-trip (bit-exact) position per line."""
     lines = [LAYOUT_CSV_HEADER]
     lines.extend(repr(float(x)) for x in layout.positions)
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_layout_csv(layout: ArrayLayout, path) -> None:
+    """Write :func:`layout_csv_text` of a layout to ``path``."""
+    Path(path).write_text(layout_csv_text(layout))
 
 
 def read_layout_csv(path) -> ArrayLayout:

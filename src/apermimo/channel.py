@@ -10,7 +10,8 @@ of user k over elements at positions x_m (in wavelengths) is
                                 * exp(j 2 pi x_m sin(theta_l))
 
 with g the Huygens element pattern and cos(psi) the scalar polarization
-mismatch between the wave and a co-polarized array.
+mismatch between the wave and a co-polarized array. A layout equispaced to
+a few ulp is summed over a coarse[q] + fine[b] grid: ~2 sqrt(M) exps a wave.
 
 All randomness comes from Philox4x32-10 keyed by the 64-bit master_seed
 (low word, high word): call c of realization r, user k and stream kind has
@@ -148,16 +149,35 @@ def sample_wave_blocks(master_seed, kind, indices, num_users, num_waves):
     return (2.0 * aoa - 1.0) * SECTOR_HALF_ANGLE, amp, 2.0 * np.pi * phase, np.pi * pol
 
 
+def _sum_grid(positions):
+    """Sum grid (coarse, fine) of the positions; see :func:`wave_field`."""
+    m = positions.size
+    b = int(np.ceil(np.sqrt(m)))
+    step = (positions[-1] - positions[0]) / max(m - 1, 1)
+    fine = np.arange(b) * step
+    coarse = positions[0] + np.arange(-(-m // b)) * (b * step)
+    error = np.abs((coarse[:, None] + fine).ravel()[:m] - positions).max()
+    tol = 4.0 * np.finfo(float).eps * np.abs(positions).max()
+    return (coarse, fine) if error <= tol else (positions, np.zeros(1))
+
+
 def wave_field(positions, aoa, amplitude, phase, pol_angle, norm: float):
     """Sum plane-wave contributions onto array elements.
 
     The wave arrays share a trailing axis of length L; any leading axes
     broadcast, so (L,) inputs give one channel row of length M while
-    (B, K, L) inputs give a (B, K, M) stack of channel matrices.
+    (n, K, L) inputs give an (n, K, M) stack of channel matrices. Element
+    q B + b sits at coarse[q] + fine[b]: B = ceil(sqrt(M)) equal spacings
+    when they rebuild every position to within a few ulp of the aperture,
+    else coarse = positions and fine = [0]. The wave coefficients ride on
+    the fine phasors, and a batched (Q, L) @ (L, B) product sums the waves
+    without an (L, M) phasor tensor.
     """
-    coeff = amplitude * np.exp(1j * phase) * np.cos(pol_angle) * huygens_gain(aoa)
-    progression = np.exp(2j * np.pi * np.sin(aoa)[..., None] * positions)
-    return np.einsum("...l,...lm->...m", coeff, progression) / norm
+    coarse, fine = _sum_grid(np.asarray(positions, dtype=float))
+    coeff = amplitude * np.exp(1j * phase) * np.cos(pol_angle) * huygens_gain(aoa) / norm
+    kx = 2.0 * np.pi * np.sin(aoa)[..., None]
+    h = np.exp(1j * kx * coarse).swapaxes(-1, -2) @ (coeff[..., None] * np.exp(1j * kx * fine))
+    return h.reshape(*h.shape[:-2], -1)[..., : len(positions)]
 
 
 def assemble_channel(layout: ArrayLayout, wavesets, norm: float) -> np.ndarray:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, engine, metrics, synthesis
-from .arrays import read_layout_csv, write_layout_csv
+from .arrays import layout_csv_text, read_layout_csv
 from .engine import ScenarioConfig
 
 EXIT_OK = 0
@@ -227,12 +227,6 @@ def _power_csv(report: engine.SimulationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _layout_csv(layout) -> str:
-    lines = ["position_lambda"]
-    lines.extend(repr(float(x)) for x in layout.positions)
-    return "\n".join(lines) + "\n"
-
-
 def _profile_csv(profile: synthesis.DensityProfile) -> str:
     lines = ["position_lambda,mu"]
     lines.extend(
@@ -308,8 +302,8 @@ def emit_reports(report, out_dir, elapsed: float = 0.0):
             "cdf_regular.csv": _cdf_csv(report.regular.sinr_cdf),
             "power_aperiodic.csv": _power_csv(report.aperiodic),
             "power_regular.csv": _power_csv(report.regular),
-            "layout_aperiodic.csv": _layout_csv(report.aperiodic.layout),
-            "layout_regular.csv": _layout_csv(report.regular.layout),
+            "layout_aperiodic.csv": layout_csv_text(report.aperiodic.layout),
+            "layout_regular.csv": layout_csv_text(report.regular.layout),
         }
         manifest = {"command": "compare", "config": summary["scenario"],
                     "master_seed": report.scenario.master_seed}
@@ -324,7 +318,7 @@ def emit_reports(report, out_dir, elapsed: float = 0.0):
             "summary.json": _summary_json(summary),
             "cdf.csv": _cdf_csv(report.sinr_cdf),
             "power.csv": _power_csv(report),
-            "layout.csv": _layout_csv(report.layout),
+            "layout.csv": layout_csv_text(report.layout),
         }
         manifest = {"command": "simulate", "config": summary["scenario"],
                     "master_seed": report.scenario.master_seed}
@@ -369,7 +363,7 @@ def _cmd_synthesize(ns) -> int:
     }
     files = {
         "summary.json": _summary_json(summary),
-        "layout.csv": _layout_csv(layout),
+        "layout.csv": layout_csv_text(layout),
         "mu_profile.csv": _profile_csv(profile),
     }
     manifest = {"command": "synthesize", "config": summary["scenario"],

@@ -170,7 +170,7 @@ class SweepRow:
 
 
 def _sub_batch(k: int, l: int, m: int) -> int:
-    # cap the (sub, K, L, M) complex plane-wave tensor near 64 MB
+    # cap the (sub, K, L, M) phasor tensor of non-regular layouts near 64 MB
     return max(32, min(BLOCK, (1 << 22) // max(1, k * l * m)))
 
 

@@ -4,6 +4,7 @@ import pytest
 from apermimo.arrays import (
     ArrayLayout,
     huygens_gain,
+    layout_csv_text,
     read_layout_csv,
     regular_layout,
     write_layout_csv,
@@ -73,3 +74,13 @@ def test_layout_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.positions, lay.positions)
     text = path.read_text()
     assert text.splitlines()[0] == "position_lambda"
+
+
+def test_layout_csv_bytes(tmp_path):
+    # the writer and the CLI emit the same text, byte for byte
+    lay = ArrayLayout(positions=np.array([0.0, 0.9182736455463728, 2.1, 7.0]))
+    expected = b"position_lambda\n0.0\n0.9182736455463728\n2.1\n7.0\n"
+    assert layout_csv_text(lay).encode() == expected
+    path = tmp_path / "layout.csv"
+    write_layout_csv(lay, path)
+    assert path.read_bytes() == expected

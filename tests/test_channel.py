@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from apermimo import channel
-from apermimo.arrays import regular_layout
+from apermimo.arrays import read_layout_csv, regular_layout, write_layout_csv
 from apermimo.channel import (
     Environment,
     PlaneWave,
@@ -297,6 +297,93 @@ def test_wave_field_matches_assemble_channel():
         np.testing.assert_allclose(
             h_blocks[i], assemble_channel(lay, wavesets, norm=1.0), rtol=1e-12
         )
+
+
+def _field_oracle(positions, aoa, amp, phase, pol, norm):
+    """Triple loop over (draw, user), waves and elements in extended precision."""
+    ld = np.longdouble
+    two_pi = 8 * np.arctan(ld(1))
+    waves = [np.asarray(a, dtype=ld).reshape(-1, np.shape(a)[-1]) for a in (aoa, amp, phase, pol)]
+    re = np.zeros((waves[0].shape[0], len(positions)), dtype=ld)
+    im = np.zeros_like(re)
+    for r, (th, a, ph, psi) in enumerate(zip(*waves)):
+        for l in range(th.size):
+            coeff = a[l] * np.cos(psi[l]) * (1 + np.cos(th[l])) / 2
+            for m, x in enumerate(positions):
+                arg = ph[l] + two_pi * ld(x) * np.sin(th[l])
+                re[r, m] += coeff * np.cos(arg)
+                im[r, m] += coeff * np.sin(arg)
+    h = (re.astype(float) + 1j * im.astype(float)) / norm
+    return h.reshape(*np.shape(aoa)[:-1], len(positions))
+
+
+def _fast_split(positions):
+    return channel._sum_grid(np.asarray(positions, dtype=float))[1].size > 1
+
+
+def _assert_field_matches_oracle(positions, k, waves, draws=2, seed=SEED):
+    params = sample_wave_blocks(seed, channel.STREAM_EVAL, range(draws), k, waves)
+    h = wave_field(positions, *params, norm=0.37)
+    ref = _field_oracle(positions, *params, norm=0.37)
+    assert h.shape == ref.shape == (draws, k, len(positions))
+    assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "m, aperture, k, waves",
+    [(121, 15.0, 2, 20), (505, 63.0, 3, 1)],
+    ids=["dense-16-rimp", "dense-64-rlos"],
+)
+def test_wave_field_regular_against_oracle(m, aperture, k, waves):
+    lay = regular_layout(m, aperture)
+    assert _fast_split(lay.positions)
+    _assert_field_matches_oracle(lay.positions, k, waves)
+
+
+def test_wave_field_aperiodic_against_oracle():
+    rng = np.random.default_rng(5)
+    pos = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 15.0, 14)), [15.0]])
+    assert not _fast_split(pos)
+    _assert_field_matches_oracle(pos, 2, 20)
+
+
+def test_wave_field_csv_round_trip_against_oracle(tmp_path):
+    # a non-dyadic spacing: the sum grid rebuilds it only to within rounding
+    path = tmp_path / "layout.csv"
+    write_layout_csv(regular_layout(50, 7.3), path)
+    pos = read_layout_csv(path).positions
+    assert _fast_split(pos)
+    _assert_field_matches_oracle(pos, 2, 20)
+
+
+def test_wave_field_moved_element_against_oracle():
+    pos = regular_layout(121, 15.0).positions.copy()
+    # one ulp is inside the rounding of regular_layout itself (up to three
+    # ulp of an element for non-dyadic spacings): the grid still applies
+    pos[100] = np.nextafter(pos[100], np.inf)
+    assert _fast_split(pos)
+    _assert_field_matches_oracle(pos, 2, 20)
+    # a move past the few-ulp tolerance is no longer a regular layout
+    pos[100] += 8 * np.finfo(float).eps * pos[-1]
+    assert not _fast_split(pos)
+    _assert_field_matches_oracle(pos, 2, 20)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_wave_field_tiny_arrays_against_oracle(m):
+    pos = np.arange(m) * 0.5
+    _assert_field_matches_oracle(pos, 1, 20)
+    params = [a[0, 0] for a in sample_wave_blocks(SEED, channel.STREAM_EVAL, [0], 1, 20)]
+    h = wave_field(pos, *params, norm=0.37)
+    assert h.shape == (m,)
+    ref = _field_oracle(pos, *params, norm=0.37)
+    assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_regular_layouts_take_the_sum_grid():
+    for m in range(2, 601):
+        for aperture in (m - 1.0, (m - 1.0) / 8):
+            assert _fast_split(regular_layout(m, aperture).positions), (m, aperture)
 
 
 def test_single_wave_row_has_constant_modulus():
