@@ -36,10 +36,6 @@ class ArrayLayout:
         return self.positions.size
 
     @property
-    def num_elements(self) -> int:
-        return self.positions.size
-
-    @property
     def aperture(self) -> float:
         return float(self.positions[-1] - self.positions[0])
 

@@ -1,4 +1,4 @@
-"""Zero-forcing precoding and link SINR evaluation.
+"""Batched zero-forcing solve: precoder weights, power scaling and noise gains.
 
 For a K x M channel H (K users, M elements, M >= K) the zero-forcing
 precoder is the pseudoinverse W = H^H (H H^H)^-1 scaled so the total
@@ -17,7 +17,6 @@ acceptance rule is cond(H H^H) <= 1e12 and a verified reconstruction
 residual max|H W - I| <= 1e-9.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,28 +24,6 @@ import numpy as np
 COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-9
 REFINE_STEPS = 4
-
-
-class SingularChannelError(ValueError):
-    """Channel too ill-conditioned for a trustworthy zero-forcing solve."""
-
-    def __init__(self, message: str, cond: float):
-        super().__init__(message)
-        self.cond = cond
-
-
-@dataclass(frozen=True)
-class Precoder:
-    """Zero-forcing precoder: unnormalized weights plus the power normalization.
-
-    weights is M x K (column k serves user k); beta = 1 / tr(W W^H), so the
-    scaled precoder sqrt(beta) W radiates unit total power for unit-power
-    symbols. cond is the 2-norm condition number of the Gram matrix H H^H.
-    """
-
-    weights: np.ndarray
-    beta: float
-    cond: float
 
 
 class ZfBatch(NamedTuple):
@@ -93,7 +70,7 @@ def _refine_inverse(h_bad: np.ndarray, inv_bad: np.ndarray):
     return x.astype(np.complex128), w.astype(np.complex128)
 
 
-def _zf_solve(h: np.ndarray, cond_limit: float = COND_LIMIT) -> ZfBatch:
+def _zf_solve(h: np.ndarray) -> ZfBatch:
     """Batched zero-forcing solve for channels of shape (..., K, M).
 
     Slices whose Gram matrix exceeds the condition limit (or is singular)
@@ -111,7 +88,7 @@ def _zf_solve(h: np.ndarray, cond_limit: float = COND_LIMIT) -> ZfBatch:
         raise ValueError(f"need at least as many elements as users, got K={k} M={m}")
     gram = h @ h.conj().swapaxes(-1, -2)
     cond = _gram_cond(gram)
-    ok = np.isfinite(cond) & (cond <= cond_limit)
+    ok = np.isfinite(cond) & (cond <= COND_LIMIT)
     eye = np.eye(k, dtype=gram.dtype)
     safe = np.where(ok[..., None, None], gram, eye)
     inv = np.linalg.solve(safe, np.broadcast_to(eye, gram.shape).copy())
@@ -135,67 +112,3 @@ def _zf_solve(h: np.ndarray, cond_limit: float = COND_LIMIT) -> ZfBatch:
     return ZfBatch(
         weights=w, beta=beta, cond=cond, noise_gain=noise_gain, residual=residual, ok=ok
     )
-
-
-def zf_precoder(h: np.ndarray, cond_limit: float = COND_LIMIT) -> Precoder:
-    """Zero-forcing precoder W = H^H (H H^H)^-1 for a single K x M channel.
-
-    Raises SingularChannelError when the Gram condition number exceeds the
-    limit or the solve fails to reproduce the identity within tolerance,
-    so callers can reject the realization and keep statistics clean.
-    """
-    h = np.asarray(h)
-    if h.ndim != 2:
-        raise ValueError("zf_precoder expects a single K x M matrix")
-    res = _zf_solve(h, cond_limit)
-    if not bool(res.ok):
-        raise SingularChannelError(
-            f"channel rejected: Gram condition {float(res.cond):.3e} "
-            f"(limit {cond_limit:.1e}) or residual above {RESIDUAL_LIMIT:.1e}",
-            float(res.cond),
-        )
-    return Precoder(weights=res.weights, beta=float(res.beta), cond=float(res.cond))
-
-
-def downlink_sinr(h: np.ndarray, precoder: Precoder, snr: float) -> np.ndarray:
-    """Per-user downlink SINR for an arbitrary precoder.
-
-    SINR_k = beta snr |h_k w_k|^2 / (beta snr sum_{j != k} |h_k w_j|^2 + 1).
-    For an exact zero-forcing precoder the cross terms vanish and every
-    user sees beta * snr.
-    """
-    if snr <= 0.0:
-        raise ValueError(f"snr must be positive (linear scale), got {snr}")
-    h = np.asarray(h)
-    cross = h @ precoder.weights  # [k, j] = h_k . w_j
-    if cross.shape[0] != cross.shape[1]:
-        raise ValueError("precoder column count must equal the number of users")
-    power = np.abs(cross) ** 2
-    signal = np.diagonal(power).copy()
-    np.fill_diagonal(power, 0.0)
-    interference = power.sum(axis=1)
-    scale = precoder.beta * snr
-    return scale * signal / (scale * interference + 1.0)
-
-
-def uplink_zf_sinr(h: np.ndarray, snr: float, cond_limit: float = COND_LIMIT) -> np.ndarray:
-    """Per-user uplink SINR with zero-forcing reception and equal user powers.
-
-    The uplink channel is G = H^T and the combiner is the pseudoinverse of
-    G, so SINR_k = snr / [(G^H G)^-1]_kk = snr / Re[(H H^H)^-1]_kk.
-    """
-    if snr <= 0.0:
-        raise ValueError(f"snr must be positive (linear scale), got {snr}")
-    h = np.asarray(h)
-    if h.ndim != 2:
-        raise ValueError("uplink_zf_sinr expects a single K x M matrix")
-    gram = h @ h.conj().T
-    cond = float(_gram_cond(gram))
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularChannelError(
-            f"channel Gram matrix condition {cond:.3e} exceeds {cond_limit:.1e}",
-            cond,
-        )
-    inv = np.linalg.solve(gram, np.eye(gram.shape[0], dtype=gram.dtype))
-    noise_gain = np.diagonal(inv).real
-    return snr / noise_gain

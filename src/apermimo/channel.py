@@ -19,15 +19,12 @@ counter (c, k, r mod 2^32, r >> 32 | kind << 28), so any realization can be
 regenerated from its index alone and in any order.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arrays import ArrayLayout, huygens_gain
 
 SECTOR_HALF_ANGLE = np.pi / 3.0  # 120 degree cell sector
 MAX_WAVES = 20
-RIMP_MIN_WAVES = 10
 
 # stream kinds keep evaluation, calibration and synthesis draws disjoint
 STREAM_EVAL = 0
@@ -36,65 +33,6 @@ STREAM_SYNTHESIS = 2
 STREAM_SYNTHESIS_CAL = 3
 
 DEFAULT_CALIBRATION_DRAWS = 20_000
-
-
-@dataclass(frozen=True)
-class PlaneWave:
-    """One incoming plane wave: angle of arrival, amplitude, phase, polarization."""
-
-    aoa: float
-    amplitude: float
-    phase: float
-    pol_angle: float
-
-    def __post_init__(self):
-        if not -SECTOR_HALF_ANGLE <= self.aoa <= SECTOR_HALF_ANGLE:
-            raise ValueError(f"aoa {self.aoa} outside the 120 degree sector")
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise ValueError(f"amplitude {self.amplitude} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class WaveSet:
-    """The waves illuminating one user."""
-
-    waves: tuple
-
-    def __post_init__(self):
-        if not 1 <= len(self.waves) <= MAX_WAVES:
-            raise ValueError(f"wave count {len(self.waves)} outside [1, {MAX_WAVES}]")
-
-    def __len__(self) -> int:
-        return len(self.waves)
-
-    def as_arrays(self):
-        """(aoa, amplitude, phase, pol_angle) arrays, each of length L."""
-        aoa = np.array([w.aoa for w in self.waves])
-        amp = np.array([w.amplitude for w in self.waves])
-        phase = np.array([w.phase for w in self.waves])
-        pol = np.array([w.pol_angle for w in self.waves])
-        return aoa, amp, phase, pol
-
-
-@dataclass(frozen=True)
-class Environment:
-    """Propagation environment on the RLOS-to-RIMP continuum."""
-
-    waves_per_ue: int
-
-    def __post_init__(self):
-        if not 1 <= self.waves_per_ue <= MAX_WAVES:
-            raise ValueError(
-                f"waves_per_ue {self.waves_per_ue} outside [1, {MAX_WAVES}]"
-            )
-
-    @property
-    def label(self) -> str:
-        if self.waves_per_ue == 1:
-            return "RLOS"
-        if self.waves_per_ue >= RIMP_MIN_WAVES:
-            return "RIMP"
-        return f"intermediate({self.waves_per_ue})"
 
 
 _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
@@ -180,25 +118,13 @@ def wave_field(positions, aoa, amplitude, phase, pol_angle, norm: float):
     return h.reshape(*h.shape[:-2], -1)[..., : len(positions)]
 
 
-def assemble_channel(layout: ArrayLayout, wavesets, norm: float) -> np.ndarray:
-    """Assemble the K x M downlink channel matrix from per-user wave sets."""
-    if len(wavesets) < 1:
-        raise ValueError("need at least one wave set")
-    if norm <= 0.0:
-        raise ValueError(f"norm must be positive, got {norm}")
-    rows = []
-    for ws in wavesets:
-        aoa, amp, phase, pol = ws.as_arrays()
-        rows.append(wave_field(layout.positions, aoa, amp, phase, pol, norm))
-    return np.stack(rows, axis=0)
+def _sub_batch(k: int, l: int, m: int) -> int:
+    """Realizations per :func:`wave_field` call for K users, L waves, M elements.
 
-
-def calibration_from_samples(mean_square_entries) -> float:
-    """Calibration constant from per-realization mean-square channel entries."""
-    vals = np.asarray(mean_square_entries, dtype=float)
-    if vals.size == 0:
-        raise ValueError("no calibration samples")
-    return float(np.sqrt(np.mean(vals)))
+    Caps the (sub, K, L, M) phasor tensor of non-regular layouts, and the
+    (sub, K, M) field, near 64 MB; every caller chunks by this one rule.
+    """
+    return max(32, min(4096, (1 << 22) // max(1, k * l * m)))
 
 
 def calibrate_normalization(
@@ -217,12 +143,12 @@ def calibrate_normalization(
     if n_cal < 1_000:
         raise ValueError(f"n_cal must be at least 1000, got {n_cal}")
     vals = np.empty(n_cal)
-    block = 4096
-    for start in range(0, n_cal, block):
-        idx = range(start, min(start + block, n_cal))
+    step = _sub_batch(scenario.K, scenario.waves_per_ue, len(layout))
+    for start in range(0, n_cal, step):
+        idx = range(start, min(start + step, n_cal))
         aoa, amp, phase, pol = sample_wave_blocks(
             scenario.master_seed, kind, idx, scenario.K, scenario.waves_per_ue
         )
         h = wave_field(layout.positions, aoa, amp, phase, pol, 1.0)
         vals[idx.start : idx.stop] = np.mean(np.abs(h) ** 2, axis=(1, 2))
-    return calibration_from_samples(vals)
+    return float(np.sqrt(np.mean(vals)))

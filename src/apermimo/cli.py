@@ -222,7 +222,7 @@ def _power_csv(report: engine.SimulationReport) -> str:
     lines = ["element_index,position_lambda,mu,sigma2"]
     lines.extend(
         f"{i},{_fmt(report.layout.positions[i])},{_fmt(prof.mu[i])},{_fmt(prof.sigma2[i])}"
-        for i in range(prof.num_elements)
+        for i in range(prof.mu.size)
     )
     return "\n".join(lines) + "\n"
 
@@ -246,8 +246,24 @@ def _sweep_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_outputs(out_dir, files: dict, manifest_base: dict, elapsed: float):
-    """Write output files plus a manifest with digests and timing."""
+def _write_outputs(out_dir, command: str, scenario, summary: dict, files: dict,
+                   elapsed: float):
+    """Write summary.json, the other output files and a manifest of them all.
+
+    summary.json and manifest.json share one header: the command, the
+    scenario (``config`` in the manifest) and its master seed. The manifest
+    adds each file's SHA-256 digest and size, and the wall-clock timing.
+    """
+    header = {
+        "tool": "apermimo",
+        "version": __version__,
+        "command": command,
+        "master_seed": scenario.master_seed,
+    }
+    config = _scenario_dict(scenario)
+    summary = {**header, "scenario": config, **summary}
+    files = {"summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
+             **files}
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -259,23 +275,18 @@ def _write_outputs(out_dir, files: dict, manifest_base: dict, elapsed: float):
                 "sha256": hashlib.sha256(data).hexdigest(),
                 "bytes": len(data),
             }
-        manifest = dict(manifest_base)
-        manifest["tool"] = "apermimo"
-        manifest["version"] = __version__
-        manifest["elapsed_seconds"] = round(elapsed, 3)
-        manifest["outputs"] = inventory
+        manifest = {
+            **header,
+            "config": config,
+            "elapsed_seconds": round(elapsed, 3),
+            "outputs": inventory,
+        }
         (out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
     except OSError as exc:
         raise OSError(f"cannot write results under {out}: {exc}") from None
     return sorted([*files, "manifest.json"])
-
-
-def _summary_json(payload: dict) -> str:
-    base = {"tool": "apermimo", "version": __version__}
-    base.update(payload)
-    return json.dumps(base, indent=2, sort_keys=True) + "\n"
 
 
 def emit_reports(report, out_dir, elapsed: float = 0.0):
@@ -286,10 +297,8 @@ def emit_reports(report, out_dir, elapsed: float = 0.0):
     master seed, and a manifest.json with SHA-256 digests of everything.
     """
     if isinstance(report, engine.ComparisonReport):
+        command = "compare"
         summary = {
-            "command": "compare",
-            "scenario": _scenario_dict(report.scenario),
-            "master_seed": report.scenario.master_seed,
             "sinrg_db": _jnum(report.sinrg_db),
             "psc_db": _jnum(report.psc_db),
             "sr_gain_fraction": _jnum(report.sr_gain_fraction),
@@ -297,7 +306,6 @@ def emit_reports(report, out_dir, elapsed: float = 0.0):
             "regular": _simulation_summary(report.regular),
         }
         files = {
-            "summary.json": _summary_json(summary),
             "cdf_aperiodic.csv": _cdf_csv(report.aperiodic.sinr_cdf),
             "cdf_regular.csv": _cdf_csv(report.regular.sinr_cdf),
             "power_aperiodic.csv": _power_csv(report.aperiodic),
@@ -305,26 +313,17 @@ def emit_reports(report, out_dir, elapsed: float = 0.0):
             "layout_aperiodic.csv": layout_csv_text(report.aperiodic.layout),
             "layout_regular.csv": layout_csv_text(report.regular.layout),
         }
-        manifest = {"command": "compare", "config": summary["scenario"],
-                    "master_seed": report.scenario.master_seed}
     elif isinstance(report, engine.SimulationReport):
-        summary = {
-            "command": "simulate",
-            "scenario": _scenario_dict(report.scenario),
-            "master_seed": report.scenario.master_seed,
-        }
-        summary.update(_simulation_summary(report))
+        command = "simulate"
+        summary = _simulation_summary(report)
         files = {
-            "summary.json": _summary_json(summary),
             "cdf.csv": _cdf_csv(report.sinr_cdf),
             "power.csv": _power_csv(report),
             "layout.csv": layout_csv_text(report.layout),
         }
-        manifest = {"command": "simulate", "config": summary["scenario"],
-                    "master_seed": report.scenario.master_seed}
     else:
         raise TypeError(f"cannot emit reports for {type(report).__name__}")
-    return _write_outputs(out_dir, files, manifest, elapsed)
+    return _write_outputs(out_dir, command, report.scenario, summary, files, elapsed)
 
 
 # ---------------------------------------------------------------- commands
@@ -352,9 +351,6 @@ def _cmd_synthesize(ns) -> int:
     )
     layout = synthesis.density_taper(profile, scenario.M)
     summary = {
-        "command": "synthesize",
-        "scenario": _scenario_dict(scenario),
-        "master_seed": scenario.master_seed,
         "dense_oversampling": ns.oversampling,
         "synthesis_realizations": ns.synthesis_realizations
         or synthesis.DEFAULT_SYNTHESIS_REALIZATIONS,
@@ -362,13 +358,11 @@ def _cmd_synthesize(ns) -> int:
         "min_spacing_lambda": _jnum(float(np.min(np.diff(layout.positions)))),
     }
     files = {
-        "summary.json": _summary_json(summary),
         "layout.csv": layout_csv_text(layout),
         "mu_profile.csv": _profile_csv(profile),
     }
-    manifest = {"command": "synthesize", "config": summary["scenario"],
-                "master_seed": scenario.master_seed}
-    _write_outputs(ns.out, files, manifest, time.perf_counter() - started)
+    _write_outputs(ns.out, "synthesize", scenario, summary, files,
+                   time.perf_counter() - started)
     print(f"synthesize: wrote layout and profile to {ns.out}")
     return EXIT_OK
 
@@ -436,9 +430,6 @@ def _cmd_sweep(ns) -> int:
         synthesis_realizations=ns.synthesis_realizations,
     )
     summary = {
-        "command": "sweep",
-        "scenario": _scenario_dict(base),
-        "master_seed": base.master_seed,
         "bs_counts": bs_counts,
         "crowdedness": [_jnum(f) for f in crowd],
         "rows": [
@@ -454,13 +445,8 @@ def _cmd_sweep(ns) -> int:
             for r in rows
         ],
     }
-    files = {
-        "summary.json": _summary_json(summary),
-        "sweep.csv": _sweep_csv(rows),
-    }
-    manifest = {"command": "sweep", "config": summary["scenario"],
-                "master_seed": base.master_seed}
-    _write_outputs(ns.out, files, manifest, time.perf_counter() - started)
+    files = {"sweep.csv": _sweep_csv(rows)}
+    _write_outputs(ns.out, "sweep", base, summary, files, time.perf_counter() - started)
     print(f"sweep: wrote {len(rows)} grid points to {ns.out}")
     return EXIT_OK
 

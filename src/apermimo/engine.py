@@ -105,28 +105,12 @@ class ScenarioConfig:
         """Linear average per-user SNR."""
         return 10.0 ** (self.snr_db / 10.0)
 
-    @property
-    def environment(self) -> channel.Environment:
-        return channel.Environment(self.waves_per_ue)
-
 
 def default_layout(scenario: ScenarioConfig) -> ArrayLayout:
     """The regular (equispaced) layout for the scenario's M and aperture."""
     if scenario.M == 1:
         return ArrayLayout(np.zeros(1))
     return regular_layout(scenario.M, scenario.aperture)
-
-
-@dataclass(frozen=True)
-class RealizationRecord:
-    """Outcome of a single Monte-Carlo realization."""
-
-    index: int
-    accepted: bool
-    sinr: np.ndarray  # (K,) linear, None when rejected
-    power_sample: np.ndarray  # (M,) per-element power at unit total power, None when rejected
-    cond: float
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -169,16 +153,16 @@ class SweepRow:
     valid: bool
 
 
-def _sub_batch(k: int, l: int, m: int) -> int:
-    # cap the (sub, K, L, M) phasor tensor of non-regular layouts near 64 MB
-    return max(32, min(BLOCK, (1 << 22) // max(1, k * l * m)))
-
-
 def _simulate_block(scenario, layout, norm, start, stop, eval_stream):
     """Raw per-realization results for indices [start, stop).
 
-    The computation of each realization is independent of how realizations
-    are grouped, so any block partition yields identical numbers.
+    Regeneration contract: each realization's numbers depend only on
+    (scenario, layout, norm, its index, eval_stream), never on how
+    realizations are grouped, so any block partition yields identical
+    numbers and ``_simulate_block(..., i, i + 1, ...)`` replays realization
+    i of a full run exactly. Returns per-realization arrays: linear "sinr"
+    (n, K), per-element "power" beta |sum_k W[:, k]|^2 (n, M), Gram "cond",
+    "residual" max|HW - I| and the acceptance mask "ok".
     """
     m_el = len(layout)
     k = scenario.K
@@ -190,7 +174,7 @@ def _simulate_block(scenario, layout, norm, start, stop, eval_stream):
     cond = np.empty(n)
     residual = np.empty(n)
     ok = np.empty(n, dtype=bool)
-    sub = _sub_batch(k, l, m_el)
+    sub = channel._sub_batch(k, l, m_el)
     for s in range(0, n, sub):
         e = min(n, s + sub)
         idx = range(start + s, start + e)
@@ -219,32 +203,6 @@ def _simulate_block(scenario, layout, norm, start, stop, eval_stream):
         "residual": residual,
         "ok": ok,
     }
-
-
-def run_realization(
-    scenario: ScenarioConfig,
-    layout: ArrayLayout,
-    norm: float,
-    index: int,
-    eval_stream: int = STREAM_EVAL,
-) -> RealizationRecord:
-    """Run one realization by index; identical output for identical inputs.
-
-    Shares the exact code path of the block runner, so a record can be
-    regenerated in isolation and matches what a full run accumulated.
-    """
-    if index < 0:
-        raise ValueError(f"realization index must be nonnegative, got {index}")
-    blk = _simulate_block(scenario, layout, norm, index, index + 1, eval_stream)
-    accepted = bool(blk["ok"][0])
-    return RealizationRecord(
-        index=index,
-        accepted=accepted,
-        sinr=blk["sinr"][0] if accepted else None,
-        power_sample=blk["power"][0] if accepted else None,
-        cond=float(blk["cond"][0]),
-        residual=float(blk["residual"][0]),
-    )
 
 
 def _block_stats(args):

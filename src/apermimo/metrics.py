@@ -1,12 +1,12 @@
 """Streaming link statistics and comparative figures of merit.
 
-Monte-Carlo runs aggregate three things in bounded memory: a fixed-bin
-histogram of per-user SINR in dB (for CDF/percentile queries), running
-per-user means of log2(1 + SINR) (for the ergodic sum rate), and running
-per-element mean/variance of the beamformer excitation powers (for the
-amplifier power profile and power spread). All accumulators merge
-associatively, so realizations can be processed in parallel and combined
-in a canonical order for bit-reproducible results.
+Monte-Carlo runs reduce each fixed block of realizations to three
+statistics of bounded size: a fixed-bin histogram of per-user SINR in dB
+(for CDF/percentile queries), per-user mean of log2(1 + SINR) (for the
+ergodic sum rate), and per-element mean/variance of the beamformer
+excitation powers (for the amplifier power profile and power spread).
+All of them merge associatively, so blocks can be processed in parallel
+and combined in a canonical order for bit-reproducible results.
 
 Comparative figures of merit: the SINR gain (5th-percentile SINR of one
 array minus another, in dB, at 0 dB SNR) and the power spread compression
@@ -27,8 +27,6 @@ CDF_NUM_BINS = int(round((CDF_MAX_DB - CDF_MIN_DB) / CDF_BIN_WIDTH_DB))
 MIN_GAIN_SAMPLES = 1_000
 GAIN_PERCENTILE = 0.05
 
-_LN2 = math.log(2.0)
-
 
 class InvalidStateError(RuntimeError):
     """An accumulator was queried before holding enough samples."""
@@ -37,12 +35,12 @@ class InvalidStateError(RuntimeError):
 class StreamingMoments:
     """Mergeable running mean and variance over fixed-length vectors.
 
-    Single samples use Welford's update; whole batches enter via an exact
-    two-pass computation; accumulators combine with the parallel
-    (Chan et al.) formula. Merging is exactly associative in the sense
-    that any split of a stream into ordered batches yields the same
-    result up to floating-point roundoff, and merging into an empty
-    accumulator reproduces the other operand bit-for-bit.
+    Batches enter via an exact two-pass computation (:meth:`from_batch`);
+    accumulators combine with the parallel (Chan et al.) formula. Merging
+    is associative in the sense that any split of a stream into ordered
+    batches yields the same result up to floating-point roundoff, and
+    merging into an empty accumulator reproduces the other operand
+    bit-for-bit.
     """
 
     __slots__ = ("count", "mean", "_m2")
@@ -53,23 +51,6 @@ class StreamingMoments:
         self.count = 0
         self.mean = np.zeros(dim)
         self._m2 = np.zeros(dim)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def push(self, sample) -> "StreamingMoments":
-        sample = np.asarray(sample, dtype=float)
-        if sample.shape != self.mean.shape:
-            raise ValueError(
-                f"sample of shape {sample.shape} does not match accumulator "
-                f"dimension {self.mean.shape}"
-            )
-        self.count += 1
-        delta = sample - self.mean
-        self.mean = self.mean + delta / self.count
-        self._m2 = self._m2 + delta * (sample - self.mean)
-        return self
 
     @classmethod
     def from_batch(cls, samples) -> "StreamingMoments":
@@ -112,10 +93,6 @@ class StreamingMoments:
             return np.zeros_like(self._m2)
         return self._m2 / (self.count - 1)
 
-    @property
-    def variance_defined(self) -> bool:
-        return self.count >= 2
-
 
 @dataclass(frozen=True)
 class PowerProfile:
@@ -142,26 +119,6 @@ class PowerProfile:
     @classmethod
     def from_moments(cls, acc: StreamingMoments) -> "PowerProfile":
         return cls(mu=acc.mean.copy(), sigma2=acc.variance, count=acc.count)
-
-    @property
-    def num_elements(self) -> int:
-        return self.mu.size
-
-
-def accumulate_excitation(acc: StreamingMoments, precoder) -> StreamingMoments:
-    """Push one precoder's per-element power sample into the accumulator.
-
-    The sample for element m is |sum_k W[m, k]|^2, the power element m
-    radiates when one unit symbol is sent to every user simultaneously.
-    """
-    weights = np.asarray(precoder.weights)
-    if weights.ndim != 2 or weights.shape[0] != acc.dim:
-        raise ValueError(
-            f"precoder with {weights.shape[0] if weights.ndim == 2 else '?'} rows "
-            f"does not match accumulator dimension {acc.dim}"
-        )
-    sample = np.abs(weights.sum(axis=1)) ** 2
-    return acc.push(sample)
 
 
 class SinrCdf:
@@ -235,27 +192,6 @@ class SinrCdf:
         lo = self.percentile(max(p - half, eps))
         hi = self.percentile(min(p + half, 1.0 - eps))
         return lo, hi
-
-
-def percentile(cdf: SinrCdf, p: float) -> float:
-    """Smallest bin center of ``cdf`` whose cumulative mass reaches ``p``."""
-    return cdf.percentile(p)
-
-
-def sum_rate(sinr_samples) -> float:
-    """Ergodic sum rate from linear per-user SINR samples, bits/s/Hz.
-
-    Accepts an (n, K) array of realizations (or a length-n vector for a
-    single user) and returns sum_k mean_n log2(1 + SINR[n, k]).
-    """
-    arr = np.asarray(sinr_samples, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError("need at least one SINR sample per user")
-    if np.any(arr < 0.0):
-        raise ValueError("linear SINR samples must be nonnegative")
-    return float(np.sum(np.mean(np.log1p(arr), axis=0)) / _LN2)
 
 
 def power_spread(profile: PowerProfile) -> float:

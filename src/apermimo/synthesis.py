@@ -4,7 +4,7 @@ The synthesis runs in two steps: simulate a densely and regularly sampled
 aperture in the target propagation environment to obtain the per-element
 average excitation power mu(x), then place the M final elements so that
 the local element density is proportional to mu. Concretely, with
-i(x) = integral of mu from 0 to x and its equipartition
+i(x) = integral of mu from 0 to x and the equal mass step
 dI = i(X_max) / (M - 1), element m sits at
 
     x_m = i^-1((m - 1) * dI),    m = 1 .. M,
@@ -70,8 +70,7 @@ class CumulativeDistribution:
     """Piecewise-quadratic cumulative i(x) of a piecewise-linear density.
 
     Stores the density nodes, the exact cumulative at each node, and the
-    total mass I = i(X_max). The equipartition step for an M-element
-    taper is I / (M - 1).
+    total mass I = i(X_max).
     """
 
     positions: np.ndarray
@@ -82,11 +81,6 @@ class CumulativeDistribution:
     @property
     def x_max(self) -> float:
         return float(self.positions[-1])
-
-    def equipartition(self, m: int) -> float:
-        if m < 2:
-            raise ValueError(f"equipartition needs at least 2 elements, got {m}")
-        return self.total / (m - 1)
 
     def evaluate(self, x):
         """i(x) for scalar or array x in [0, X_max]."""
@@ -203,7 +197,7 @@ def density_taper(profile: DensityProfile, m: int) -> ArrayLayout:
     """Place m elements so each adjacent pair encloses equal reference mass.
 
     The first element sits at 0 and the last at X_max; interior elements
-    are the closed-form preimages of the equipartitioned cumulative.
+    are the closed-form preimages of equally spaced cumulative targets.
     """
     if m < 2:
         raise ValueError(f"need at least 2 elements, got m={m}")

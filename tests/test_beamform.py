@@ -1,110 +1,121 @@
 import numpy as np
 import pytest
 
-from apermimo.beamform import (
-    COND_LIMIT,
-    RESIDUAL_LIMIT,
-    Precoder,
-    SingularChannelError,
-    _zf_solve,
-    downlink_sinr,
-    uplink_zf_sinr,
-    zf_precoder,
-)
+from apermimo.beamform import COND_LIMIT, RESIDUAL_LIMIT, _zf_solve
+from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
+from apermimo.engine import ScenarioConfig, _simulate_block, default_layout
 
 
 def _random_channel(rng, k, m):
     return rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
 
 
+def _solve_one(h):
+    """_zf_solve on a single K x M channel, unbatched."""
+    res = _zf_solve(h[None])
+    return res._replace(**{name: value[0] for name, value in res._asdict().items()})
+
+
 def test_zf_reconstructs_identity():
     rng = np.random.default_rng(0)
     for k, m in ((2, 8), (4, 16), (8, 16)):
         h = _random_channel(rng, k, m)
-        pre = zf_precoder(h)
-        np.testing.assert_allclose(h @ pre.weights, np.eye(k), atol=1e-10)
+        res = _solve_one(h)
+        assert res.ok
+        np.testing.assert_allclose(h @ res.weights, np.eye(k), atol=1e-10)
 
 
 def test_zf_matches_svd_pseudoinverse():
     """Independent oracle: the SVD pseudoinverse of a full-row-rank matrix."""
     rng = np.random.default_rng(1)
     h = _random_channel(rng, 4, 12)
-    pre = zf_precoder(h)
-    np.testing.assert_allclose(pre.weights, np.linalg.pinv(h), atol=1e-10)
+    np.testing.assert_allclose(_solve_one(h).weights, np.linalg.pinv(h), atol=1e-10)
 
 
 def test_beta_is_inverse_weight_power():
     rng = np.random.default_rng(2)
     h = _random_channel(rng, 3, 9)
-    pre = zf_precoder(h)
-    trace = np.sum(np.abs(pre.weights) ** 2)
-    assert pre.beta == pytest.approx(1.0 / trace, rel=1e-12)
+    res = _solve_one(h)
+    trace = np.sum(np.abs(res.weights) ** 2)
+    assert res.beta == pytest.approx(1.0 / trace, rel=1e-12)
 
 
 def test_zf_scale_equivariance():
     rng = np.random.default_rng(3)
     h = _random_channel(rng, 3, 9)
     c = 2.5
-    pre1 = zf_precoder(h)
-    pre2 = zf_precoder(c * h)
-    np.testing.assert_allclose(pre2.weights, pre1.weights / c, rtol=1e-10)
-    assert pre2.beta == pytest.approx(pre1.beta * c * c, rel=1e-10)
+    res1 = _solve_one(h)
+    res2 = _solve_one(c * h)
+    np.testing.assert_allclose(res2.weights, res1.weights / c, rtol=1e-10)
+    assert res2.beta == pytest.approx(res1.beta * c * c, rel=1e-10)
 
 
 def test_singular_channel_rejected():
     h = np.ones((2, 6), dtype=complex)  # duplicated rows
-    with pytest.raises(SingularChannelError) as exc:
-        zf_precoder(h)
-    assert exc.value.cond > COND_LIMIT or not np.isfinite(exc.value.cond)
+    res = _solve_one(h)
+    assert not res.ok
+    assert res.cond > COND_LIMIT or not np.isfinite(res.cond)
+    assert np.all(res.weights == 0.0) and res.beta == 0.0
 
 
 def test_wide_channel_rejected():
     with pytest.raises(ValueError):
-        zf_precoder(np.ones((4, 2), dtype=complex))
+        _zf_solve(np.ones((1, 4, 2), dtype=complex))
+
+
+def _brute_force_sinr(h, w, beta, snr):
+    """Per-user SINR of precoder sqrt(beta) W, one user and one stream at a time."""
+    k = h.shape[0]
+    sinr = np.empty(k)
+    for kk in range(k):
+        sig = beta * snr * abs(h[kk] @ w[:, kk]) ** 2
+        interf = beta * snr * sum(abs(h[kk] @ w[:, j]) ** 2 for j in range(k) if j != kk)
+        sinr[kk] = sig / (interf + 1.0)
+    return sinr
 
 
 def test_downlink_sinr_equalized_by_zf():
+    """Brute-force downlink SINR of the ZF weights is beta * snr for every user."""
     rng = np.random.default_rng(4)
-    h = _random_channel(rng, 4, 10)
-    pre = zf_precoder(h)
     snr = 1.7
-    sinr = downlink_sinr(h, pre, snr)
-    np.testing.assert_allclose(sinr, pre.beta * snr, rtol=1e-9)
+    for k, m in ((3, 8), (4, 10)):
+        h = _random_channel(rng, k, m)
+        res = _solve_one(h)
+        sinr = _brute_force_sinr(h, res.weights, res.beta, snr)
+        np.testing.assert_allclose(sinr, res.beta * snr, rtol=1e-9)
 
 
 def test_downlink_sinr_general_precoder():
-    """Non-orthogonal precoder checked against a per-user loop."""
-    rng = np.random.default_rng(5)
-    k, m = 3, 8
-    h = _random_channel(rng, k, m)
-    w = h.conj().T  # matched transmission, leaves residual interference
-    beta = 1.0 / np.sum(np.abs(w) ** 2)
-    pre = Precoder(weights=w, beta=beta, cond=1.0)
-    snr = 2.0
-    sinr = downlink_sinr(h, pre, snr)
-    for kk in range(k):
-        sig = beta * snr * abs(h[kk] @ w[:, kk]) ** 2
-        interf = beta * snr * sum(
-            abs(h[kk] @ w[:, j]) ** 2 for j in range(k) if j != kk
-        )
-        assert sinr[kk] == pytest.approx(sig / (interf + 1.0), rel=1e-12)
-
-
-def test_downlink_sinr_needs_positive_snr():
-    rng = np.random.default_rng(6)
-    h = _random_channel(rng, 2, 6)
-    pre = zf_precoder(h)
-    with pytest.raises(ValueError):
-        downlink_sinr(h, pre, 0.0)
+    """The engine's downlink SINR equals the per-user loop run on a precoder
+    built in the test (pinv of the rebuilt plane-wave channel), with the
+    interference terms kept rather than assumed zero."""
+    sc = ScenarioConfig(
+        M=8, K=3, waves_per_ue=4, realizations=40, master_seed=5, snr_db=3.0,
+        link="downlink",
+    )
+    layout = default_layout(sc)
+    norm = 1.3
+    blk = _simulate_block(sc, layout, norm, 0, sc.realizations, STREAM_EVAL)
+    params = sample_wave_blocks(
+        sc.master_seed, STREAM_EVAL, range(sc.realizations), sc.K, sc.waves_per_ue
+    )
+    h = wave_field(layout.positions, *params, norm=norm)
+    accepted = np.flatnonzero(blk["ok"])
+    assert accepted.size >= 30
+    for i in accepted:
+        w = np.linalg.pinv(h[i])
+        beta = 1.0 / np.sum(np.abs(w) ** 2)
+        sinr = _brute_force_sinr(h[i], w, beta, sc.snr)
+        np.testing.assert_allclose(blk["sinr"][i], sinr, rtol=1e-9)
 
 
 def test_uplink_sinr_matches_decoder_noise_norms():
     """The uplink combiner is the pseudoinverse of G = H^T; its row norms
-    set the post-combining noise power."""
+    set the post-combining noise power, so SINR = snr / noise_gain."""
     rng = np.random.default_rng(7)
     h = _random_channel(rng, 3, 9)
     snr = 0.8
-    sinr = uplink_zf_sinr(h, snr)
+    sinr = snr / _solve_one(h).noise_gain
     g = h.T
     d = np.linalg.pinv(g)
     np.testing.assert_allclose(d @ g, np.eye(3), atol=1e-10)
@@ -113,8 +124,9 @@ def test_uplink_sinr_matches_decoder_noise_norms():
 
 
 def test_uplink_rejects_singular():
-    with pytest.raises(SingularChannelError):
-        uplink_zf_sinr(np.ones((2, 5), dtype=complex), 1.0)
+    # proportional rows: the users share one spatial signature
+    row = np.exp(0.4j * np.arange(5))
+    assert not _solve_one(np.stack([row, 2.0 * row])).ok
 
 
 def _steering_pair(du, m=57, aperture=7.0, a2=1.0, u0=0.3):

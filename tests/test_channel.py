@@ -3,16 +3,7 @@ import pytest
 
 from apermimo import channel
 from apermimo.arrays import read_layout_csv, regular_layout, write_layout_csv
-from apermimo.channel import (
-    Environment,
-    PlaneWave,
-    WaveSet,
-    assemble_channel,
-    calibrate_normalization,
-    calibration_from_samples,
-    sample_wave_blocks,
-    wave_field,
-)
+from apermimo.channel import calibrate_normalization, sample_wave_blocks, wave_field
 
 SEED = 424242
 
@@ -26,60 +17,19 @@ class _Scenario:
         self.waves_per_ue = waves
 
 
-def test_plane_wave_validation():
-    PlaneWave(aoa=0.0, amplitude=1.0, phase=0.0, pol_angle=0.0)
-    with pytest.raises(ValueError):
-        PlaneWave(aoa=np.pi / 2, amplitude=1.0, phase=0.0, pol_angle=0.0)
-    with pytest.raises(ValueError):
-        PlaneWave(aoa=0.0, amplitude=1.5, phase=0.0, pol_angle=0.0)
-    with pytest.raises(ValueError):
-        PlaneWave(aoa=0.0, amplitude=-0.1, phase=0.0, pol_angle=0.0)
-
-
-def test_waveset_length_bounds():
-    w = PlaneWave(aoa=0.0, amplitude=0.5, phase=0.0, pol_angle=0.1)
-    WaveSet(waves=[w])
-    WaveSet(waves=[w] * 20)
-    with pytest.raises(ValueError):
-        WaveSet(waves=[])
-    with pytest.raises(ValueError):
-        WaveSet(waves=[w] * 21)
-
-
-def test_environment_labels():
-    assert Environment(waves_per_ue=1).label == "RLOS"
-    assert Environment(waves_per_ue=10).label == "RIMP"
-    assert Environment(waves_per_ue=20).label == "RIMP"
-    assert Environment(waves_per_ue=4).label == "intermediate(4)"
-    with pytest.raises(ValueError):
-        Environment(waves_per_ue=0)
-    with pytest.raises(ValueError):
-        Environment(waves_per_ue=21)
-
-
-def _waveset(params, i=0, k=0):
-    """WaveSet of user k in realization row i of sample_wave_blocks output."""
-    waves = params[0].shape[-1]
-    return WaveSet(
-        waves=[PlaneWave(*(float(p[i, k, l]) for p in params)) for l in range(waves)]
-    )
-
-
 def test_wave_blocks_counts_and_ranges():
     params = sample_wave_blocks(SEED, channel.STREAM_EVAL, [0], 1, 20)
     assert all(p.shape == (1, 1, 20) for p in params)
-    ws = _waveset(params)
-    assert len(ws.waves) == 20
-    for w in ws.waves:
-        assert -np.pi / 3 <= w.aoa <= np.pi / 3
-        assert 0.0 <= w.amplitude <= 1.0
-        assert 0.0 <= w.phase < 2 * np.pi
-        assert 0.0 <= w.pol_angle < np.pi
+    aoa, amp, phase, pol = (p[0, 0] for p in params)
+    assert np.all((-np.pi / 3 <= aoa) & (aoa <= np.pi / 3))
+    assert np.all((0.0 <= amp) & (amp <= 1.0))
+    assert np.all((0.0 <= phase) & (phase < 2 * np.pi))
+    assert np.all((0.0 <= pol) & (pol < np.pi))
 
 
 def test_wave_blocks_single_for_rlos():
     params = sample_wave_blocks(SEED, channel.STREAM_EVAL, [1], 1, 1)
-    assert len(_waveset(params).waves) == 1
+    assert all(p.shape == (1, 1, 1) for p in params)
 
 
 def test_aoa_mean_converges_to_broadside():
@@ -191,11 +141,15 @@ def test_wave_parameters_match_closed_form(which, cdf):
     assert d < 1.95 / np.sqrt(n)
 
 
+def _row(positions, aoa, amp, phase, pol, norm=1.0):
+    """wave_field of one user from scalars or (L,) arrays: an (M,) row."""
+    return wave_field(positions, *map(np.atleast_1d, (aoa, amp, phase, pol)), norm=norm)
+
+
 def test_broadside_unit_wave_gives_unit_row():
     lay = regular_layout(5, 4.0)
-    ws = WaveSet(waves=[PlaneWave(aoa=0.0, amplitude=1.0, phase=0.0, pol_angle=0.0)])
-    h = assemble_channel(lay, [ws], norm=1.0)
-    np.testing.assert_allclose(h, np.ones((1, 5), dtype=complex), atol=1e-15)
+    h = _row(lay.positions, 0.0, 1.0, 0.0, 0.0)
+    np.testing.assert_allclose(h, np.ones(5, dtype=complex), atol=1e-15)
 
 
 def test_horizon_wave_element_pattern():
@@ -216,87 +170,49 @@ def test_horizon_wave_element_pattern():
 def test_phase_progression_linear_in_position():
     lay = regular_layout(6, 5.0)
     theta = 0.31
-    ws = WaveSet(waves=[PlaneWave(aoa=theta, amplitude=1.0, phase=0.2, pol_angle=0.3)])
-    h = assemble_channel(lay, [ws], norm=1.0)
-    dphi = np.angle(h[0, 1:] * h[0, :-1].conj())
+    h = _row(lay.positions, theta, 1.0, 0.2, 0.3)
+    dphi = np.angle(h[1:] * h[:-1].conj())
     expected = 2 * np.pi * 1.0 * np.sin(theta)
     np.testing.assert_allclose(
         np.mod(dphi - expected + np.pi, 2 * np.pi) - np.pi, 0.0, atol=1e-10
     )
 
 
+def _random_waves(rng, n):
+    """(aoa, amplitude, phase, pol_angle) arrays of n waves, each of shape (n,)."""
+    return (
+        rng.uniform(-np.pi / 3, np.pi / 3, n),
+        rng.uniform(0, 1, n),
+        rng.uniform(0, 2 * np.pi, n),
+        rng.uniform(0, np.pi, n),
+    )
+
+
 def test_wave_permutation_invariance():
     lay = regular_layout(4, 3.0)
-    rng = np.random.default_rng(3)
-    waves = [
-        PlaneWave(
-            aoa=float(rng.uniform(-np.pi / 3, np.pi / 3)),
-            amplitude=float(rng.uniform(0, 1)),
-            phase=float(rng.uniform(0, 2 * np.pi)),
-            pol_angle=float(rng.uniform(0, np.pi)),
-        )
-        for _ in range(5)
-    ]
-    h1 = assemble_channel(lay, [WaveSet(waves=waves)], norm=1.0)
-    h2 = assemble_channel(lay, [WaveSet(waves=waves[::-1])], norm=1.0)
+    waves = _random_waves(np.random.default_rng(3), 5)
+    h1 = _row(lay.positions, *waves)
+    h2 = _row(lay.positions, *(w[::-1] for w in waves))
     np.testing.assert_allclose(h1, h2, rtol=1e-12)
 
 
 def test_assemble_channel_against_brute_force():
-    """Straight-line triple loop over users, waves, elements."""
+    """Straight-line triple loop over users, waves, elements; one (L,) row per user."""
     lay = regular_layout(7, 6.0)
     rng = np.random.default_rng(11)
     k, L = 3, 4
-    wavesets = []
-    for _ in range(k):
-        waves = [
-            PlaneWave(
-                aoa=float(rng.uniform(-np.pi / 3, np.pi / 3)),
-                amplitude=float(rng.uniform(0, 1)),
-                phase=float(rng.uniform(0, 2 * np.pi)),
-                pol_angle=float(rng.uniform(0, np.pi)),
-            )
-            for _ in range(L)
-        ]
-        wavesets.append(WaveSet(waves=waves))
+    users = [_random_waves(rng, L) for _ in range(k)]
     norm = 0.37
-    h = assemble_channel(lay, wavesets, norm=norm)
+    h = np.stack([_row(lay.positions, *waves, norm=norm) for waves in users])
     ref = np.zeros((k, 7), dtype=complex)
-    for ki in range(k):
-        for w in wavesets[ki].waves:
-            g = 0.5 * (1.0 + np.cos(w.aoa))
-            coeff = w.amplitude * np.exp(1j * w.phase) * np.cos(w.pol_angle) * g
+    for ki, (aoa, amp, phase, pol) in enumerate(users):
+        for l in range(L):
+            g = 0.5 * (1.0 + np.cos(aoa[l]))
+            coeff = amp[l] * np.exp(1j * phase[l]) * np.cos(pol[l]) * g
             for m, x in enumerate(lay.positions):
-                ref[ki, m] += coeff * np.exp(2j * np.pi * x * np.sin(w.aoa))
+                ref[ki, m] += coeff * np.exp(2j * np.pi * x * np.sin(aoa[l]))
     ref /= norm
     np.testing.assert_allclose(h, ref, atol=1e-12)
-
-
-def test_wave_field_matches_assemble_channel():
-    lay = regular_layout(5, 4.0)
-    n, k, L = 6, 2, 3
-    aoa, amp, phase, pol = sample_wave_blocks(
-        SEED, channel.STREAM_EVAL, range(n), k, L
-    )
-    h_blocks = wave_field(lay.positions, aoa, amp, phase, pol, norm=1.0)
-    for i in range(n):
-        wavesets = [
-            WaveSet(
-                waves=[
-                    PlaneWave(
-                        aoa=float(aoa[i, ki, li]),
-                        amplitude=float(amp[i, ki, li]),
-                        phase=float(phase[i, ki, li]),
-                        pol_angle=float(pol[i, ki, li]),
-                    )
-                    for li in range(L)
-                ]
-            )
-            for ki in range(k)
-        ]
-        np.testing.assert_allclose(
-            h_blocks[i], assemble_channel(lay, wavesets, norm=1.0), rtol=1e-12
-        )
 
 
 def _field_oracle(positions, aoa, amp, phase, pol, norm):
@@ -388,17 +304,23 @@ def test_regular_layouts_take_the_sum_grid():
 
 def test_single_wave_row_has_constant_modulus():
     lay = regular_layout(9, 8.0)
-    ws = _waveset(sample_wave_blocks(SEED, channel.STREAM_EVAL, [5], 1, 1))
-    h = assemble_channel(lay, [ws], norm=1.0)
-    mags = np.abs(h[0])
+    params = [p[0, 0] for p in sample_wave_blocks(SEED, channel.STREAM_EVAL, [5], 1, 1)]
+    mags = np.abs(wave_field(lay.positions, *params, norm=1.0))
     np.testing.assert_allclose(mags, mags[0], rtol=1e-12)
 
 
-def test_calibration_constant_matrix():
-    # every entry of H0 has magnitude 2, so the mean square entry is 4
-    h0 = np.full((2, 3), 2.0 + 0.0j)
-    mean_square = [np.mean(np.abs(h0) ** 2)] * 10
-    assert calibration_from_samples(mean_square) == pytest.approx(2.0)
+def test_calibration_matches_one_block():
+    """Chunked calibration equals, to the bit, one wave_field call over all draws."""
+    lay = regular_layout(121, 15.0)
+    sc = _Scenario(k=2, waves=20)
+    n_cal = 2_000
+    assert channel._sub_batch(sc.K, sc.waves_per_ue, len(lay)) < n_cal  # several chunks
+    params = sample_wave_blocks(
+        sc.master_seed, channel.STREAM_CALIBRATION, range(n_cal), sc.K, sc.waves_per_ue
+    )
+    h = wave_field(lay.positions, *params, norm=1.0)
+    mean_square = np.mean(np.abs(h) ** 2, axis=(1, 2))  # ||H0||_F^2 / (K M) per draw
+    assert calibrate_normalization(sc, lay, n_cal) == np.sqrt(np.mean(mean_square))
 
 
 def test_calibration_self_consistency():

@@ -278,6 +278,26 @@ def test_sweep_csv_output(tmp_path):
     assert summary["rows"][0]["M"] == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--M", "4", "--K", "2"],
+    ["synthesize", "--M", "4", "--K", "2", "--oversampling", "2",
+     "--synthesis-realizations", "1200"],
+    ["compare", "--M", "4", "--K", "2", "--oversampling", "2",
+     "--synthesis-realizations", "1200"],
+    ["sweep", "--bs-counts", "4", "--crowdedness", "0.5", "--oversampling", "2",
+     "--synthesis-realizations", "1200"],
+], ids=["simulate", "synthesize", "compare", "sweep"])
+def test_summary_and_manifest_share_header(tmp_path, argv):
+    out = tmp_path / "out"
+    assert _run(argv + ["--realizations", "1200", "--seed", "5", "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert summary["command"] == manifest["command"] == argv[0]
+    assert summary["master_seed"] == manifest["master_seed"] == 5
+    assert summary["scenario"] == manifest["config"]
+    assert summary["scenario"]["master_seed"] == 5
+
+
 def test_sweep_rejects_explicit_mk(tmp_path, capsys):
     cfg = tmp_path / "fixed.cfg"
     cfg.write_text("M=8\nK=2\n")

@@ -5,17 +5,19 @@ import pytest
 
 from apermimo import channel
 from apermimo.arrays import ArrayLayout, regular_layout
+from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
 from apermimo.engine import (
     BLOCK,
     ComparisonReport,
     ScenarioConfig,
     SweepRow,
+    _simulate_block,
     compare_layouts,
     default_layout,
-    run_realization,
     run_simulation,
     sweep,
 )
+from apermimo.metrics import SinrCdf
 
 
 def _small_scenario(**overrides):
@@ -64,43 +66,47 @@ def test_scenario_defaults():
 # -------------------------------------------------------- single records
 
 
+def _replay(sc, layout, norm, index):
+    """Realization ``index`` regenerated alone, as a dict of length-1 arrays."""
+    return _simulate_block(sc, layout, norm, index, index + 1, STREAM_EVAL)
+
+
 def test_realization_is_reproducible():
     sc = _small_scenario()
     layout = default_layout(sc)
     norm = channel.calibrate_normalization(sc, layout, 2_000)
-    a = run_realization(sc, layout, norm, index=17)
-    b = run_realization(sc, layout, norm, index=17)
-    assert a.accepted and b.accepted
-    np.testing.assert_array_equal(a.sinr, b.sinr)
-    np.testing.assert_array_equal(a.power_sample, b.power_sample)
-    assert a.cond == b.cond and a.residual == b.residual
+    a = _replay(sc, layout, norm, 17)
+    b = _replay(sc, layout, norm, 17)
+    assert a["ok"][0] and b["ok"][0]
+    for key in ("sinr", "power", "cond", "residual"):
+        np.testing.assert_array_equal(a[key], b[key])
 
 
 def test_realizations_differ_by_index():
     sc = _small_scenario()
     layout = default_layout(sc)
     norm = channel.calibrate_normalization(sc, layout, 2_000)
-    a = run_realization(sc, layout, norm, index=17)
-    b = run_realization(sc, layout, norm, index=18)
-    assert not np.array_equal(a.sinr, b.sinr)
+    a = _replay(sc, layout, norm, 17)
+    b = _replay(sc, layout, norm, 18)
+    assert not np.array_equal(a["sinr"], b["sinr"])
 
 
 def test_downlink_record_equalizes_users():
     sc = _small_scenario(link="downlink", snr_db=3.0)
     layout = default_layout(sc)
     norm = channel.calibrate_normalization(sc, layout, 2_000)
-    rec = run_realization(sc, layout, norm, index=5)
-    assert rec.accepted
-    assert rec.sinr.shape == (2,)
+    rec = _replay(sc, layout, norm, 5)
+    assert rec["ok"][0]
+    assert rec["sinr"].shape == (1, 2)
     # exact interference nulling leaves every user at the same level
-    assert rec.sinr[0] == pytest.approx(rec.sinr[1], rel=1e-9)
+    assert rec["sinr"][0, 0] == pytest.approx(rec["sinr"][0, 1], rel=1e-9)
 
 
 def test_record_index_validation():
     sc = _small_scenario()
     layout = default_layout(sc)
-    with pytest.raises(ValueError):
-        run_realization(sc, layout, 1.0, index=-1)
+    with pytest.raises(OverflowError):  # realization indices are unsigned
+        _replay(sc, layout, 1.0, -1)
 
 
 # ------------------------------------------------------------- full runs
@@ -112,25 +118,29 @@ def test_report_matches_per_record_accumulation():
     layout = default_layout(sc)
     report = run_simulation(sc, layout)
     norm = report.norm
-    sinr_db = []
-    power = []
-    rejected = 0
-    for i in range(sc.realizations):
-        rec = run_realization(sc, layout, norm, i)
-        if not rec.accepted:
-            rejected += 1
-            continue
-        sinr_db.extend(10.0 * np.log10(rec.sinr))
-        power.append(rec.power_sample)
-    assert report.rejected_count == rejected
-    assert report.accepted_count == sc.realizations - rejected
-    from apermimo.metrics import SinrCdf
-
-    manual = SinrCdf().push_db(np.array(sinr_db))
+    recs = [_replay(sc, layout, norm, i) for i in range(sc.realizations)]
+    accepted = [i for i, rec in enumerate(recs) if rec["ok"][0]]
+    sinr = np.concatenate([recs[i]["sinr"] for i in accepted])
+    power = np.concatenate([recs[i]["power"] for i in accepted])
+    assert report.rejected_count == sc.realizations - len(accepted)
+    assert report.accepted_count == len(accepted)
+    manual = SinrCdf().push_db(10.0 * np.log10(sinr).ravel())
     np.testing.assert_array_equal(report.sinr_cdf.counts, manual.counts)
-    np.testing.assert_allclose(
-        report.power_profile.mu, np.mean(power, axis=0), rtol=1e-12
+    np.testing.assert_allclose(report.power_profile.mu, power.mean(axis=0), rtol=1e-12)
+    # sum rate: sum over users of the mean over draws of log2(1 + SINR)
+    naive = sum(
+        np.mean([math.log2(1.0 + s) for s in sinr[:, k]]) for k in range(sc.K)
     )
+    assert report.sum_rate == pytest.approx(naive, rel=1e-12)
+    # power sample: beta |sum_k W[:, k]|^2 with W the pseudoinverse of H rebuilt here
+    for i in accepted[:5]:
+        params = sample_wave_blocks(sc.master_seed, STREAM_EVAL, [i], sc.K, sc.waves_per_ue)
+        h = wave_field(layout.positions, *params, norm=norm)[0]
+        w = np.linalg.pinv(h)
+        beta = 1.0 / np.sum(np.abs(w) ** 2)
+        np.testing.assert_allclose(
+            recs[i]["power"][0], beta * np.abs(w.sum(axis=1)) ** 2, rtol=1e-9
+        )
 
 
 def test_worker_count_does_not_change_report():
@@ -197,7 +207,8 @@ def test_compare_layout_against_itself_is_null():
 
 def test_sweep_skips_infeasible_points():
     sc = _small_scenario(realizations=1_500)
-    with pytest.warns(RuntimeWarning, match="infeasible"):
+    with pytest.warns(RuntimeWarning, match="infeasible"), \
+            pytest.warns(RuntimeWarning, match="recommended"):
         rows = sweep(sc, bs_counts=[4], crowdedness=[0.01, 0.5], workers=1,
                      dense_oversampling=2, synthesis_realizations=1_500)
     assert len(rows) == 1
@@ -210,7 +221,8 @@ def test_sweep_skips_infeasible_points():
 
 def test_sweep_sets_k_by_rounding():
     sc = _small_scenario(realizations=1_200)
-    rows = sweep(sc, bs_counts=[8], crowdedness=[0.25], workers=1,
-                 dense_oversampling=2, synthesis_realizations=1_200)
+    with pytest.warns(RuntimeWarning, match="recommended"):
+        rows = sweep(sc, bs_counts=[8], crowdedness=[0.25], workers=1,
+                     dense_oversampling=2, synthesis_realizations=1_200)
     assert rows[0].K == 2
     assert rows[0].M == 8

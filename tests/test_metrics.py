@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from apermimo.beamform import Precoder
+from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
+from apermimo.engine import BLOCK, ScenarioConfig, _simulate_block, default_layout, run_simulation
 from apermimo.metrics import (
     CDF_BIN_WIDTH_DB,
     CDF_MAX_DB,
@@ -12,60 +13,64 @@ from apermimo.metrics import (
     PowerProfile,
     SinrCdf,
     StreamingMoments,
-    accumulate_excitation,
-    percentile,
     power_spread,
     psc,
     sinr_gain,
-    sum_rate,
 )
-
-
-def _precoder(w):
-    w = np.asarray(w, dtype=complex)
-    return Precoder(weights=w, beta=1.0 / np.sum(np.abs(w) ** 2), cond=1.0)
 
 
 # ---------------------------------------------------------------- moments
 
 
-def test_excitation_identity_precoder():
-    acc = StreamingMoments(2)
-    accumulate_excitation(acc, _precoder(np.eye(2)))
-    np.testing.assert_array_equal(acc.mean, [1.0, 1.0])
-    assert not acc.variance_defined
-    np.testing.assert_array_equal(acc.variance, [0.0, 0.0])
+def _rows_merged(samples):
+    """Moments of (n, dim) samples fed as one-row batches merged in order."""
+    acc = StreamingMoments(samples.shape[1])
+    for row in samples:
+        acc.merge(StreamingMoments.from_batch(row[None]))
+    return acc
 
 
 def test_excitation_two_point_variance():
     """Samples (1,1) and (3,3) give mean 2 and unbiased variance 2."""
-    acc = StreamingMoments(2)
-    acc.push([1.0, 1.0])
-    acc.push([3.0, 3.0])
+    one = _rows_merged(np.array([[1.0, 1.0]]))
+    np.testing.assert_array_equal(one.variance, [0.0, 0.0])  # undefined below 2 samples
+    acc = _rows_merged(np.array([[1.0, 1.0], [3.0, 3.0]]))
     np.testing.assert_allclose(acc.mean, [2.0, 2.0])
     np.testing.assert_allclose(acc.variance, [2.0, 2.0])
-    assert acc.variance_defined
+    assert acc.count == 2
+
+
+def _two_block_run():
+    """A run spanning two engine blocks, and all its draws replayed at once."""
+    sc = ScenarioConfig(M=8, K=2, waves_per_ue=3, realizations=BLOCK + 500, master_seed=16)
+    layout = default_layout(sc)
+    report = run_simulation(sc, layout)
+    blk = _simulate_block(sc, layout, report.norm, 0, sc.realizations, STREAM_EVAL)
+    assert report.accepted_count == int(blk["ok"].sum())
+    return sc, layout, report, blk
 
 
 def test_excitation_coherent_sum():
-    # rows sum coherently: |1 + 1j|^2 = 2, |2|^2 = 4
-    acc = StreamingMoments(2)
-    accumulate_excitation(acc, _precoder([[1.0, 1.0j], [2.0, 0.0]]))
-    np.testing.assert_allclose(acc.mean, [2.0, 4.0])
-
-
-def test_excitation_dimension_mismatch():
-    acc = StreamingMoments(3)
-    with pytest.raises(ValueError):
-        accumulate_excitation(acc, _precoder(np.eye(2)))
+    """The power profile holds the moments of beta |sum_k W[m, k]|^2, the
+    coherent sum over users, with W = pinv(H) of channels rebuilt here."""
+    sc, layout, report, blk = _two_block_run()
+    params = sample_wave_blocks(
+        sc.master_seed, STREAM_EVAL, range(sc.realizations), sc.K, sc.waves_per_ue
+    )
+    h = wave_field(layout.positions, *params, norm=report.norm)[blk["ok"]]
+    w = np.linalg.pinv(h)
+    beta = 1.0 / np.sum(np.abs(w) ** 2, axis=(1, 2))
+    power = beta[:, None] * np.abs(w.sum(axis=2)) ** 2
+    prof = report.power_profile
+    assert prof.count == power.shape[0]
+    np.testing.assert_allclose(prof.mu, power.mean(axis=0), rtol=1e-9)
+    np.testing.assert_allclose(prof.sigma2, power.var(axis=0, ddof=1), rtol=1e-9)
 
 
 def test_streaming_matches_two_pass_batch():
     rng = np.random.default_rng(11)
     samples = rng.uniform(0.0, 5.0, size=(10_000, 8))
-    acc = StreamingMoments(8)
-    for row in samples:
-        acc.push(row)
+    acc = _rows_merged(samples)
     mu = samples.mean(axis=0)
     var = samples.var(axis=0, ddof=1)
     np.testing.assert_allclose(acc.mean, mu, rtol=1e-10)
@@ -105,7 +110,7 @@ def test_merge_into_empty_is_exact():
 
 
 def test_merge_empty_operand_is_noop():
-    acc = StreamingMoments(2).push([1.0, 2.0])
+    acc = StreamingMoments.from_batch([[1.0, 2.0]])
     mean_before = acc.mean.copy()
     acc.merge(StreamingMoments(2))
     np.testing.assert_array_equal(acc.mean, mean_before)
@@ -115,8 +120,6 @@ def test_merge_empty_operand_is_noop():
 def test_moments_reject_bad_dims():
     with pytest.raises(ValueError):
         StreamingMoments(0)
-    with pytest.raises(ValueError):
-        StreamingMoments(2).push([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         StreamingMoments(2).merge(StreamingMoments(3))
 
@@ -165,34 +168,15 @@ def test_power_profile_validation():
 # --------------------------------------------------------------- sum rate
 
 
-def test_sum_rate_single_user():
-    assert sum_rate(np.ones(50)) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_sum_rate_two_users():
-    assert sum_rate(np.full((20, 2), 3.0)) == pytest.approx(4.0, rel=1e-12)
-
-
 def test_sum_rate_matches_naive_average():
-    rng = np.random.default_rng(16)
-    samples = rng.exponential(scale=2.0, size=(1_000, 4))
+    """The sum rate merged over two blocks is the per-user average of
+    log2(1 + SINR) over every accepted draw, summed over users."""
+    sc, _, report, blk = _two_block_run()
+    sinr = blk["sinr"][blk["ok"]]
     naive = sum(
-        np.mean([math.log2(1.0 + s) for s in samples[:, k]]) for k in range(4)
+        np.mean([math.log2(1.0 + s) for s in sinr[:, k]]) for k in range(sc.K)
     )
-    assert sum_rate(samples) == pytest.approx(naive, rel=1e-12)
-
-
-def test_sum_rate_monotone_in_sinr():
-    rng = np.random.default_rng(17)
-    samples = rng.uniform(0.0, 4.0, size=(200, 3))
-    assert sum_rate(samples + 0.5) > sum_rate(samples)
-
-
-def test_sum_rate_rejects_bad_input():
-    with pytest.raises(ValueError):
-        sum_rate(np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        sum_rate(np.array([-1.0, 2.0]))
+    assert report.sum_rate == pytest.approx(naive, rel=1e-12)
 
 
 # ------------------------------------------------------------------- CDF
@@ -200,29 +184,29 @@ def test_sum_rate_rejects_bad_input():
 
 def test_percentile_point_mass():
     cdf = SinrCdf().push_db(np.full(100, 7.00))
-    assert percentile(cdf, 0.05) == pytest.approx(7.00, abs=0.01)
+    assert cdf.percentile(0.05) == pytest.approx(7.00, abs=0.01)
 
 
 def test_percentile_uniform_median():
     cdf = SinrCdf().push_db(np.linspace(0.0, 10.0, 100_001))
-    assert percentile(cdf, 0.5) == pytest.approx(5.0, abs=0.02)
+    assert cdf.percentile(0.5) == pytest.approx(5.0, abs=0.02)
 
 
 def test_percentile_standard_normal_tail():
     rng = np.random.default_rng(18)
     cdf = SinrCdf().push_db(rng.standard_normal(100_000))
-    assert percentile(cdf, 0.05) == pytest.approx(-1.645, abs=0.03)
+    assert cdf.percentile(0.05) == pytest.approx(-1.645, abs=0.03)
 
 
 def test_percentile_validation():
     cdf = SinrCdf()
     with pytest.raises(InvalidStateError):
-        percentile(cdf, 0.5)
+        cdf.percentile(0.5)
     cdf.push_db([0.0])
     with pytest.raises(ValueError):
-        percentile(cdf, 0.0)
+        cdf.percentile(0.0)
     with pytest.raises(ValueError):
-        percentile(cdf, 1.0)
+        cdf.percentile(1.0)
 
 
 def test_cdf_clamps_out_of_range():
@@ -230,8 +214,8 @@ def test_cdf_clamps_out_of_range():
     assert cdf.count == 3
     assert cdf.counts[0] == 1
     assert cdf.counts[-1] == 1
-    assert percentile(cdf, 0.01) == pytest.approx(CDF_MIN_DB + CDF_BIN_WIDTH_DB / 2)
-    assert percentile(cdf, 0.99) == pytest.approx(CDF_MAX_DB - CDF_BIN_WIDTH_DB / 2)
+    assert cdf.percentile(0.01) == pytest.approx(CDF_MIN_DB + CDF_BIN_WIDTH_DB / 2)
+    assert cdf.percentile(0.99) == pytest.approx(CDF_MAX_DB - CDF_BIN_WIDTH_DB / 2)
 
 
 def test_cdf_rejects_nonfinite():
