@@ -1,20 +1,24 @@
 """Batched zero-forcing solve: precoder weights, power scaling and noise gains.
 
-For a K x M channel H (K users, M elements, M >= K) the zero-forcing
-precoder is the pseudoinverse W = H^H (H H^H)^-1 scaled so the total
-transmit power is one: beta = 1 / tr(W W^H). With that scaling the
-downlink model y = sqrt(snr) H sqrt(beta) W s + n gives every user an
-interference-free stream at SINR_k = beta * snr.
+For a K x M channel H (K users, M elements, M >= K) with Gram matrix
+G = H H^H and X = G^-1, the zero-forcing precoder is the pseudoinverse
+W = H^H X scaled so the total transmit power is one: beta = 1 / tr(W^H W)
+= 1 / tr X. With that scaling the downlink model
+y = sqrt(snr) H sqrt(beta) W s + n gives every user an interference-free
+stream at SINR_k = beta * snr.
 
-The uplink mirror applies ZF reception to G = H^T with equal user powers:
-SINR_k = snr / [(G^H G)^-1]_kk = snr / Re[(H H^H)^-1]_kk, and the
-receive combiner is the conjugate of W^H, so both links load the array
-elements identically.
+The uplink mirror applies ZF reception to H^T with equal user powers:
+SINR_k = snr / Re X_kk, and the receive combiner is the conjugate of W^H,
+so both links load the array elements identically.
 
-Channels whose Gram matrix H H^H is too ill-conditioned to invert
-trustworthily are rejected rather than silently producing garbage: the
-acceptance rule is cond(H H^H) <= 1e12 and a verified reconstruction
-residual max|H W - I| <= 1e-9.
+Draws too ill-conditioned to invert trustworthily are rejected rather
+than silently producing garbage: the acceptance rule is cond(G) <= 1e12
+and a verified reconstruction residual max|H W - I| <= 1e-9. The
+condition screen has two stages: cond(G) <= ||G||_F ||X||_F, so a slice
+whose bound clears the limit needs no eigendecomposition. The bound is
+taken on the X the solver returns, which is garbage for a numerically
+singular G; its Frobenius norm is then still large, its real trace need
+not be.
 """
 
 from typing import NamedTuple
@@ -30,21 +34,16 @@ class ZfBatch(NamedTuple):
     """Batched zero-forcing solve results (leading axes = batch)."""
 
     weights: np.ndarray  # (..., M, K), zeroed where not ok
-    beta: np.ndarray  # (...,), zero where not ok
-    cond: np.ndarray  # (...,) Gram condition numbers
-    noise_gain: np.ndarray  # (..., K) Re diag (H H^H)^-1, garbage where not ok
-    residual: np.ndarray  # (...,) max |H W - I|, +inf where not ok
+    beta: np.ndarray  # (...,) 1 / tr X, zero where not ok
+    noise_gain: np.ndarray  # (..., K) Re diag X, garbage where not ok
+    residual: np.ndarray  # (...,) max |H W - I|, +inf where cond(G) fails
     ok: np.ndarray  # (...,) bool acceptance mask
 
 
-def _gram_cond(gram: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers of a stack of Hermitian PSD matrices."""
+def _gram_cond_ok(gram: np.ndarray) -> np.ndarray:
+    """cond(G) <= COND_LIMIT from the eigenvalues of Hermitian PSD matrices."""
     ev = np.linalg.eigvalsh(gram)
-    lo = ev[..., 0]
-    hi = ev[..., -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(lo > 0.0, hi / np.where(lo > 0.0, lo, 1.0), np.inf)
-    return np.where(hi > 0.0, cond, np.inf)
+    return (ev[..., 0] > 0.0) & (ev[..., -1] <= COND_LIMIT * ev[..., 0])
 
 
 def _refine_inverse(h_bad: np.ndarray, inv_bad: np.ndarray):
@@ -73,26 +72,38 @@ def _refine_inverse(h_bad: np.ndarray, inv_bad: np.ndarray):
 def _zf_solve(h: np.ndarray) -> ZfBatch:
     """Batched zero-forcing solve for channels of shape (..., K, M).
 
-    Slices whose Gram matrix exceeds the condition limit (or is singular)
-    are replaced by the identity before the solve, so one bad draw cannot
-    poison a whole batch; they come back with ok=False, zeroed weights and
-    beta, and an infinite residual. Slices that pass the condition screen
-    but miss the residual tolerance get one extended-precision refinement
-    pass; whatever still fails the (recomputed) residual check is rejected.
+    Every slice is inverted; those whose bound exceeds the limit or is not
+    finite (all of them when an exactly singular slice makes the batched
+    inverse raise) get their exact condition number. A slice that fails
+    the limit is inverted again with its Gram matrix replaced by I, so one
+    bad draw cannot poison the batch, and comes back with ok=False, zeroed
+    weights and beta, and an infinite residual. Slices that pass but miss
+    the residual tolerance get one extended-precision refinement pass;
+    whatever still fails the (recomputed) residual check is rejected.
     """
     h = np.asarray(h)
-    if h.ndim < 2:
-        raise ValueError("channel must have shape (..., K, M)")
+    if h.ndim < 3:
+        raise ValueError("channel must have shape (..., K, M) with a batch axis")
     k, m = h.shape[-2], h.shape[-1]
     if m < k:
         raise ValueError(f"need at least as many elements as users, got K={k} M={m}")
-    gram = h @ h.conj().swapaxes(-1, -2)
-    cond = _gram_cond(gram)
-    ok = np.isfinite(cond) & (cond <= COND_LIMIT)
-    eye = np.eye(k, dtype=gram.dtype)
-    safe = np.where(ok[..., None, None], gram, eye)
-    inv = np.linalg.solve(safe, np.broadcast_to(eye, gram.shape).copy())
-    w = h.conj().swapaxes(-1, -2) @ inv
+    hh = h.conj().swapaxes(-1, -2)
+    gram = h @ hh
+    eye = np.eye(k)
+    try:
+        inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(gram, np.nan)
+    bound = np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+    ok = bound <= COND_LIMIT
+    if not ok.all():
+        suspect = ~ok
+        gram_s = gram[suspect]
+        cond_ok = _gram_cond_ok(gram_s)
+        gram_s[~cond_ok] = eye
+        inv[suspect] = np.linalg.inv(gram_s)
+        ok[suspect] = cond_ok
+    w = hh @ inv
     residual = np.abs(h @ w - eye).max(axis=(-2, -1))
     bad = ok & (residual > RESIDUAL_LIMIT)
     if np.any(bad):
@@ -102,13 +113,9 @@ def _zf_solve(h: np.ndarray) -> ZfBatch:
         w[bad] = w_bad
         residual[bad] = np.abs(h_bad @ w_bad - eye).max(axis=(-2, -1))
     noise_gain = np.diagonal(inv, axis1=-2, axis2=-1).real.copy()
-    trace = np.einsum("...mk,...mk->...", w, w.conj()).real
-    with np.errstate(divide="ignore"):
-        beta = np.where(trace > 0.0, 1.0 / np.where(trace > 0.0, trace, 1.0), 0.0)
-    residual = np.where(ok, residual, np.inf)
-    ok = ok & (residual <= RESIDUAL_LIMIT)
-    w = np.where(ok[..., None, None], w, 0.0)
-    beta = np.where(ok, beta, 0.0)
-    return ZfBatch(
-        weights=w, beta=beta, cond=cond, noise_gain=noise_gain, residual=residual, ok=ok
-    )
+    beta = 1.0 / noise_gain.sum(axis=-1)
+    residual[~ok] = np.inf
+    ok &= residual <= RESIDUAL_LIMIT
+    w[~ok] = 0.0
+    beta[~ok] = 0.0
+    return ZfBatch(w, beta, noise_gain, residual, ok)

@@ -209,7 +209,7 @@ def _simulation_summary(report: engine.SimulationReport) -> dict:
 
 def _cdf_csv(cdf: metrics.SinrCdf) -> str:
     centers = cdf.bin_centers
-    cum = np.cumsum(cdf.counts) / cdf.count
+    cum = cdf.cdf
     lines = ["sinr_db,cdf"]
     lines.extend(
         f"{_fmt(centers[i])},{_fmt(cum[i])}" for i in range(centers.size)

@@ -161,8 +161,10 @@ def _simulate_block(scenario, layout, norm, start, stop, eval_stream):
     realizations are grouped, so any block partition yields identical
     numbers and ``_simulate_block(..., i, i + 1, ...)`` replays realization
     i of a full run exactly. Returns per-realization arrays: linear "sinr"
-    (n, K), per-element "power" beta |sum_k W[:, k]|^2 (n, M), Gram "cond",
-    "residual" max|HW - I| and the acceptance mask "ok".
+    (n, K), per-element "power" beta |sum_k W[:, k]|^2 (n, M) with
+    beta = 1 / tr (H H^H)^-1, "residual" max|HW - I| and the acceptance
+    mask "ok" (condition screen, residual gate and, on the uplink, a
+    positive noise gain).
     """
     m_el = len(layout)
     k = scenario.K
@@ -171,7 +173,6 @@ def _simulate_block(scenario, layout, norm, start, stop, eval_stream):
     snr = scenario.snr
     sinr = np.empty((n, k))
     power = np.empty((n, m_el))
-    cond = np.empty(n)
     residual = np.empty(n)
     ok = np.empty(n, dtype=bool)
     sub = channel._sub_batch(k, l, m_el)
@@ -193,13 +194,11 @@ def _simulate_block(scenario, layout, norm, start, stop, eval_stream):
         else:
             sinr[s:e] = (zf.beta * snr)[:, None]
         power[s:e] = zf.beta[:, None] * np.abs(zf.weights.sum(axis=2)) ** 2
-        cond[s:e] = zf.cond
         residual[s:e] = zf.residual
         ok[s:e] = ok_se
     return {
         "sinr": sinr,
         "power": power,
-        "cond": cond,
         "residual": residual,
         "ok": ok,
     }
@@ -211,18 +210,12 @@ def _block_stats(args):
     blk = _simulate_block(scenario, layout, norm, start, stop, eval_stream)
     mask = blk["ok"]
     sinr = blk["sinr"][mask]
-    cdf = SinrCdf()
-    if sinr.size:
-        cdf.push_db(10.0 * np.log10(sinr))
-    rate_acc = StreamingMoments.from_batch(
-        np.log1p(sinr) / _LN2 if sinr.size else np.empty((0, scenario.K))
-    )
-    power_acc = StreamingMoments.from_batch(
-        blk["power"][mask] if mask.any() else np.empty((0, len(layout)))
-    )
+    cdf = SinrCdf().push_db(10.0 * np.log10(sinr))
+    rate_acc = StreamingMoments.from_batch(np.log1p(sinr) / _LN2)
+    power_acc = StreamingMoments.from_batch(blk["power"][mask])
     rejected = int((~mask).sum())
-    max_residual = float(blk["residual"][mask].max()) if mask.any() else 0.0
-    return cdf.counts, rate_acc, power_acc, rejected, max_residual
+    max_residual = float(blk["residual"][mask].max(initial=0.0))
+    return cdf, rate_acc, power_acc, rejected, max_residual
 
 
 def run_simulation(
@@ -263,8 +256,8 @@ def run_simulation(
     power_acc = StreamingMoments(scenario.M)
     rejected = 0
     max_residual = 0.0
-    for counts, block_rate, block_power, block_rejected, block_residual in results:
-        cdf.counts += counts
+    for block_cdf, block_rate, block_power, block_rejected, block_residual in results:
+        cdf.merge(block_cdf)
         rate_acc.merge(block_rate)
         power_acc.merge(block_power)
         rejected += block_rejected

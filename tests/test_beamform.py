@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from apermimo.arrays import regular_layout
 from apermimo.beamform import COND_LIMIT, RESIDUAL_LIMIT, _zf_solve
 from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
 from apermimo.engine import ScenarioConfig, _simulate_block, default_layout
@@ -14,6 +15,38 @@ def _solve_one(h):
     """_zf_solve on a single K x M channel, unbatched."""
     res = _zf_solve(h[None])
     return res._replace(**{name: value[0] for name, value in res._asdict().items()})
+
+
+def _oracle_cond_ok(h):
+    """cond(H H^H) <= COND_LIMIT from the SVD, independent of the solver's screen."""
+    return np.linalg.cond(h @ h.conj().swapaxes(-1, -2)) <= COND_LIMIT
+
+
+def _assert_matches_oracle(h, res):
+    """The acceptance mask is cond(G) <= COND_LIMIT plus the residual gate.
+
+    A slice that fails the condition limit is rejected with an infinite
+    residual. A slice that passes it is accepted exactly when the W it
+    comes back with reconstructs I within RESIDUAL_LIMIT; otherwise it
+    carries the finite residual that failed the gate. Accepted slices have
+    beta = 1 / ||W||_F^2 up to K * RESIDUAL_LIMIT (tr(W^H W) = tr X + tr(X R)
+    for the residual R = H W - I), rejected ones zero weights and beta.
+    """
+    k = h.shape[-2]
+    cond_ok = _oracle_cond_ok(h)
+    assert not np.any(res.ok & ~cond_ok)
+    assert np.all(np.isinf(res.residual[~cond_ok]))
+    resid = np.abs(h @ res.weights - np.eye(k)).max(axis=(-2, -1))
+    np.testing.assert_array_equal(res.ok, cond_ok & (resid <= RESIDUAL_LIMIT))
+    np.testing.assert_allclose(res.residual[res.ok], resid[res.ok], rtol=0, atol=1e-12)
+    lost = cond_ok & ~res.ok
+    assert np.all(np.isfinite(res.residual[lost]))
+    assert np.all(res.residual[lost] > RESIDUAL_LIMIT)
+    power = np.sum(np.abs(res.weights) ** 2, axis=(-2, -1))
+    np.testing.assert_allclose(
+        res.beta[res.ok] * power[res.ok], 1.0, rtol=0, atol=k * RESIDUAL_LIMIT
+    )
+    assert np.all(res.weights[~res.ok] == 0.0) and np.all(res.beta[~res.ok] == 0.0)
 
 
 def test_zf_reconstructs_identity():
@@ -54,13 +87,15 @@ def test_singular_channel_rejected():
     h = np.ones((2, 6), dtype=complex)  # duplicated rows
     res = _solve_one(h)
     assert not res.ok
-    assert res.cond > COND_LIMIT or not np.isfinite(res.cond)
+    assert not _oracle_cond_ok(h)
     assert np.all(res.weights == 0.0) and res.beta == 0.0
 
 
 def test_wide_channel_rejected():
     with pytest.raises(ValueError):
         _zf_solve(np.ones((1, 4, 2), dtype=complex))
+    with pytest.raises(ValueError):  # no batch axis
+        _zf_solve(np.ones((2, 4), dtype=complex))
 
 
 def _brute_force_sinr(h, w, beta, snr):
@@ -154,14 +189,20 @@ def test_batch_solve_masks_bad_slices():
 
 
 def test_batch_solve_independent_of_grouping():
+    """An exactly singular slice in one half sends that whole batch through
+    the eigenvalue screen; no other slice's numbers may change."""
     rng = np.random.default_rng(9)
     hs = _random_channel(rng, 8 * 2, 6).reshape(8, 2, 6)
+    hs[6] = 1.0  # duplicated rows
     full = _zf_solve(hs)
+    assert full.ok[:6].all() and not full.ok[6] and full.ok[7]
     first = _zf_solve(hs[:4])
     second = _zf_solve(hs[4:])
     np.testing.assert_array_equal(full.weights[:4], first.weights)
     np.testing.assert_array_equal(full.weights[4:], second.weights)
     np.testing.assert_array_equal(full.beta[:4], first.beta)
+    np.testing.assert_array_equal(full.beta[4:], second.beta)
+    np.testing.assert_array_equal(full.noise_gain[4:], second.noise_gain)
     np.testing.assert_array_equal(full.residual[4:], second.residual)
 
 
@@ -171,14 +212,8 @@ def test_near_collision_refinement_keeps_residual_gate():
     for du in (1e-4, 1e-5, 3e-6):
         h = _steering_pair(du)
         res = _zf_solve(h[None])
-        assert res.cond[0] <= COND_LIMIT
-        if res.ok[0]:
-            assert res.residual[0] <= RESIDUAL_LIMIT
-            np.testing.assert_allclose(
-                np.abs(h @ res.weights[0] - np.eye(2)).max(),
-                res.residual[0],
-                atol=1e-12,
-            )
+        assert _oracle_cond_ok(h)
+        _assert_matches_oracle(h[None], res)
     assert _zf_solve(_steering_pair(1e-5)[None]).ok[0]  # refinement recovers this
 
 
@@ -198,3 +233,71 @@ def test_accepted_residuals_bounded_at_scale():
     res = _zf_solve(h)
     assert res.ok.sum() > n * 0.9
     assert res.residual[res.ok].max() <= RESIDUAL_LIMIT
+
+
+def test_screen_matches_oracle_on_mixed_batch():
+    """One batch mixing random channels, near collisions the refinement
+    rescues, near collisions beyond it, and singular slices: the two-stage
+    screen rejects exactly what the SVD condition number and the residual
+    gate reject."""
+    rng = np.random.default_rng(11)
+    rows = np.exp(0.4j * np.arange(57))
+    slices = [_random_channel(rng, 2, 57) for _ in range(3)]
+    slices += [_steering_pair(du) for du in (1e-4, 1e-5, 3e-6, 1e-6, 5e-7, 1e-7, 1e-8)]
+    slices += [np.stack([rows, rows]), np.stack([rows, 2.0 * rows])]
+    slices += [_steering_pair(3e-6, a2=0.5), _random_channel(rng, 2, 57)]
+    h = np.stack(slices)
+    res = _zf_solve(h)
+    _assert_matches_oracle(h, res)
+    cond_ok = _oracle_cond_ok(h)
+    assert (~cond_ok).sum() >= 4  # 1e-7, 1e-8 and the two singular slices
+    assert (cond_ok & ~res.ok).any()  # 5e-7 misses the residual gate
+    # without the singular slices the batch inverse does not raise
+    regular = np.r_[:10, 12:14]
+    _assert_matches_oracle(h[regular], _zf_solve(h[regular]))
+
+
+@pytest.mark.parametrize(
+    "m, aperture, k, n",
+    [(505, 63.0, 19, 2000), (16, 15.0, 8, 4096)],
+    ids=["dense-505x19", "16x8"],
+)
+def test_screen_matches_oracle_on_engine_draws(m, aperture, k, n):
+    """Line-of-sight draws of the 505-element dense reference at K = 19 and of
+    the 16-element array at K = 8, including draws that fail the condition
+    limit: the acceptance mask equals the oracle."""
+    positions = regular_layout(m, aperture).positions
+    cond_rejected = 0
+    for s in range(0, n, 500):
+        params = sample_wave_blocks(1, STREAM_EVAL, range(s, min(n, s + 500)), k, 1)
+        h = wave_field(positions, *params, norm=1.0)
+        _assert_matches_oracle(h, _zf_solve(h))
+        cond_rejected += int((~_oracle_cond_ok(h)).sum())
+    assert cond_rejected >= 1
+
+
+def test_screen_passes_bound_failures_that_clear_the_limit():
+    """K = 19 Gram matrices with one small eigenvalue: cond(G) = c but
+    ||G||_F ||G^-1||_F ~ sqrt(18) c. Where only the bound exceeds the limit
+    the exact condition number clears the slice, so it reaches the residual
+    gate and comes back with a finite residual, never as a condition reject."""
+    rng = np.random.default_rng(12)
+    k, m = 19, 24
+    slices = []
+    for c in (1e3, 3e11, 5e11, 8e11, 2e12):
+        u, _ = np.linalg.qr(_random_channel(rng, k, k))
+        v, _ = np.linalg.qr(_random_channel(rng, m, k))
+        lam = np.ones(k)
+        lam[-1] = 1.0 / c
+        slices.append(u @ np.diag(np.sqrt(lam)) @ v.conj().T)
+    h = np.stack(slices)
+    gram = h @ h.conj().swapaxes(-1, -2)
+    bound = np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(
+        np.linalg.inv(gram), axis=(-2, -1)
+    )
+    flagged = (bound > COND_LIMIT) & _oracle_cond_ok(h)
+    np.testing.assert_array_equal(flagged, [False, True, True, True, False])
+    res = _zf_solve(h)
+    _assert_matches_oracle(h, res)
+    assert res.ok[0] and np.isinf(res.residual[4])
+    assert np.all(np.isfinite(res.residual[flagged]))

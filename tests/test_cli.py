@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from apermimo.cli import (
     main,
     parse_config,
 )
+from apermimo.engine import ScenarioConfig, run_simulation
 
 
 def _run(argv):
@@ -99,6 +101,22 @@ def test_simulate_writes_outputs(tmp_path, sim_args, capsys):
     assert summary["command"] == "simulate"
     assert "sum_rate" in summary and "power_spread_db" in summary
     assert "wrote results" in capsys.readouterr().out
+
+
+def test_cdf_csv_bytes(tmp_path, sim_args):
+    """cdf.csv is the 9-digit cumulative histogram of the run, one line per bin."""
+    out = tmp_path / "run"
+    assert _run(sim_args + ["--out", str(out)]) == EXIT_OK
+    sc = ScenarioConfig(M=4, K=2, waves_per_ue=1, realizations=1500, master_seed=123)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        counts = run_simulation(sc).sinr_cdf.counts
+    cum = np.cumsum(counts) / counts.sum()
+    centers = -40.0 + (np.arange(counts.size) + 0.5) * 0.01
+    expected = "sinr_db,cdf\n" + "".join(
+        f"{c:.9g},{f:.9g}\n" for c, f in zip(centers, cum)
+    )
+    assert _read(out / "cdf.csv") == expected.encode()
 
 
 def test_manifest_digests_match_files(tmp_path, sim_args):

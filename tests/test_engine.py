@@ -5,6 +5,7 @@ import pytest
 
 from apermimo import channel
 from apermimo.arrays import ArrayLayout, regular_layout
+from apermimo.beamform import COND_LIMIT, RESIDUAL_LIMIT
 from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
 from apermimo.engine import (
     BLOCK,
@@ -78,8 +79,12 @@ def test_realization_is_reproducible():
     a = _replay(sc, layout, norm, 17)
     b = _replay(sc, layout, norm, 17)
     assert a["ok"][0] and b["ok"][0]
-    for key in ("sinr", "power", "cond", "residual"):
+    for key in ("sinr", "power", "residual"):
         np.testing.assert_array_equal(a[key], b[key])
+    # the accepted draw clears the condition limit by the SVD of its own Gram
+    params = sample_wave_blocks(sc.master_seed, STREAM_EVAL, [17], sc.K, sc.waves_per_ue)
+    h = wave_field(layout.positions, *params, norm=norm)[0]
+    assert np.linalg.cond(h @ h.conj().T) <= COND_LIMIT
 
 
 def test_realizations_differ_by_index():
@@ -120,6 +125,16 @@ def test_report_matches_per_record_accumulation():
     norm = report.norm
     recs = [_replay(sc, layout, norm, i) for i in range(sc.realizations)]
     accepted = [i for i, rec in enumerate(recs) if rec["ok"][0]]
+    # acceptance is cond(G) <= COND_LIMIT plus the residual gate
+    params = sample_wave_blocks(
+        sc.master_seed, STREAM_EVAL, range(sc.realizations), sc.K, sc.waves_per_ue
+    )
+    h = wave_field(layout.positions, *params, norm=norm)
+    cond_ok = np.linalg.cond(h @ h.conj().swapaxes(-1, -2)) <= COND_LIMIT
+    residual = np.concatenate([rec["residual"] for rec in recs])
+    np.testing.assert_array_equal(
+        np.flatnonzero(cond_ok & (residual <= RESIDUAL_LIMIT)), accepted
+    )
     sinr = np.concatenate([recs[i]["sinr"] for i in accepted])
     power = np.concatenate([recs[i]["power"] for i in accepted])
     assert report.rejected_count == sc.realizations - len(accepted)
