@@ -14,6 +14,9 @@ so both links load the array elements identically.
 Draws too ill-conditioned to invert trustworthily are rejected rather
 than silently producing garbage: the acceptance rule is cond(G) <= 1e12
 and a verified reconstruction residual max|H W - I| <= 1e-9. The
+residual is taken in float64 on the rounded W, about eps sqrt(cond) M,
+so draws with cond(G) >~ 1e11 fail it even after refinement: they are
+counted as residual rejects, below the nominal condition limit. The
 condition screen has two stages: cond(G) <= ||G||_F ||X||_F, so a slice
 whose bound clears the limit needs no eigendecomposition. The bound is
 taken on the X the solver returns, which is garbage for a numerically

@@ -127,28 +127,35 @@ def _sub_batch(k: int, l: int, m: int) -> int:
     return max(32, min(4096, (1 << 22) // max(1, k * l * m)))
 
 
+def _calibration_chunk(args):
+    """Per-draw ||H0||_F^2 / (K M) of calibration draws [start, stop) (runs inside workers)."""
+    seed, kind, k, l, positions, start, stop = args
+    aoa, amp, phase, pol = sample_wave_blocks(seed, kind, range(start, stop), k, l)
+    h = wave_field(positions, aoa, amp, phase, pol, 1.0)
+    return np.mean(np.abs(h) ** 2, axis=(1, 2))
+
+
 def calibrate_normalization(
     scenario,
     layout: ArrayLayout,
     n_cal: int = DEFAULT_CALIBRATION_DRAWS,
     kind: int = STREAM_CALIBRATION,
+    mapper=map,
 ) -> float:
     """Estimate the channel normalization constant for one scenario/layout.
 
     Returns c = sqrt(mean ||H0||_F^2 / (K M)) over n_cal raw realizations
     drawn from the dedicated calibration streams; dividing channels by c
     makes the ensemble-average per-element channel power 1. Deterministic
-    for a fixed master seed.
+    for a fixed master seed, and bit-identical for any ``mapper`` (``map``,
+    or an executor's ``map`` over worker processes): chunk bounds depend
+    only on (K, L, M), and c is taken over the per-draw values in order.
     """
     if n_cal < 1_000:
         raise ValueError(f"n_cal must be at least 1000, got {n_cal}")
-    vals = np.empty(n_cal)
-    step = _sub_batch(scenario.K, scenario.waves_per_ue, len(layout))
-    for start in range(0, n_cal, step):
-        idx = range(start, min(start + step, n_cal))
-        aoa, amp, phase, pol = sample_wave_blocks(
-            scenario.master_seed, kind, idx, scenario.K, scenario.waves_per_ue
-        )
-        h = wave_field(layout.positions, aoa, amp, phase, pol, 1.0)
-        vals[idx.start : idx.stop] = np.mean(np.abs(h) ** 2, axis=(1, 2))
+    k, l = scenario.K, scenario.waves_per_ue
+    step = min(_sub_batch(k, l, len(layout)), 1024)  # ~20 tasks for 20 000 draws
+    chunks = [(scenario.master_seed, kind, k, l, layout.positions, s, min(s + step, n_cal))
+              for s in range(0, n_cal, step)]
+    vals = np.concatenate(list(mapper(_calibration_chunk, chunks)))
     return float(np.sqrt(np.mean(vals)))

@@ -1,3 +1,6 @@
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -310,17 +313,22 @@ def test_single_wave_row_has_constant_modulus():
 
 
 def test_calibration_matches_one_block():
-    """Chunked calibration equals, to the bit, one wave_field call over all draws."""
+    """Chunked calibration, serial or mapped over worker processes, equals to
+    the bit one wave_field call over all draws."""
     lay = regular_layout(121, 15.0)
     sc = _Scenario(k=2, waves=20)
-    n_cal = 2_000
-    assert channel._sub_batch(sc.K, sc.waves_per_ue, len(lay)) < n_cal  # several chunks
+    n_cal = 2_007
+    chunk = min(channel._sub_batch(sc.K, sc.waves_per_ue, len(lay)), 1024)
+    assert chunk < n_cal and n_cal % chunk  # several chunks, the last one short
     params = sample_wave_blocks(
         sc.master_seed, channel.STREAM_CALIBRATION, range(n_cal), sc.K, sc.waves_per_ue
     )
     h = wave_field(lay.positions, *params, norm=1.0)
     mean_square = np.mean(np.abs(h) ** 2, axis=(1, 2))  # ||H0||_F^2 / (K M) per draw
-    assert calibrate_normalization(sc, lay, n_cal) == np.sqrt(np.mean(mean_square))
+    expected = np.sqrt(np.mean(mean_square))
+    assert calibrate_normalization(sc, lay, n_cal) == expected
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        assert calibrate_normalization(sc, lay, n_cal, mapper=pool.map) == expected
 
 
 def test_calibration_self_consistency():

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apermimo
 from apermimo.arrays import ArrayLayout, read_layout_csv, write_layout_csv
 from apermimo.cli import (
     EXIT_CONFIG,
@@ -226,6 +232,61 @@ def test_engine_error_exit_code(tmp_path, capsys):
                  "--layout", str(path), "--out", str(tmp_path / "x")])
     assert code == EXIT_RUNTIME
     assert "engine-error" in capsys.readouterr().err
+
+
+# A worker that dies mid-run: ``target`` (module, attribute) is replaced by
+# a function that calls os._exit in any process but the one that ran main.
+_DYING_WORKER = """
+import os, sys
+from apermimo import channel, cli, engine
+
+parent = os.getpid()
+owner = {"channel": channel, "engine": engine}[sys.argv[1]]
+real = getattr(owner, sys.argv[2])
+
+def dies_in_worker(*args, **kwargs):
+    if os.getpid() != parent:
+        os._exit(1)
+    return real(*args, **kwargs)
+
+setattr(owner, sys.argv[2], dies_in_worker)
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def _python(code, *args, timeout=60):
+    """Run ``python -c code args`` with the package on its path; kill it and
+    every worker it forked on timeout."""
+    src = str(Path(apermimo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.Popen([sys.executable, "-c", code, *args], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"python -c still running after {timeout} s")
+    return proc.returncode, out, err
+
+
+@pytest.mark.parametrize("target", [("channel", "wave_field"), ("engine", "_simulate_block")],
+                         ids=["in-calibration", "in-block"])
+def test_dead_worker_is_engine_error(tmp_path, target):
+    code, _, err = _python(_DYING_WORKER, *target, "simulate", "--M", "4", "--K", "2",
+                           "--realizations", "5000", "--workers", "2",
+                           "--out", str(tmp_path / "x"))
+    assert code == EXIT_RUNTIME, err
+    assert "error:engine-error" in err
+    assert "terminated abruptly" in err
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    # concurrent.futures costs ~20 ms to import; only a forking run needs it
+    code, out, err = _python("import sys, apermimo.cli; "
+                             "print('concurrent.futures' in sys.modules)")
+    assert (code, out) == (0, "False\n"), err
 
 
 # -------------------------------------------------------------- synthesize
