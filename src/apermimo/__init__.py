@@ -14,7 +14,6 @@ from .arrays import (
     huygens_gain,
     read_layout_csv,
     regular_layout,
-    write_layout_csv,
 )
 from .beamform import COND_LIMIT, RESIDUAL_LIMIT
 from .channel import calibrate_normalization
@@ -73,5 +72,4 @@ __all__ = [
     "sinr_gain",
     "sweep",
     "synthesize_aperiodic",
-    "write_layout_csv",
 ]

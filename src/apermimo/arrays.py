@@ -69,13 +69,8 @@ def layout_csv_text(layout: ArrayLayout) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_layout_csv(layout: ArrayLayout, path) -> None:
-    """Write :func:`layout_csv_text` of a layout to ``path``."""
-    Path(path).write_text(layout_csv_text(layout))
-
-
 def read_layout_csv(path) -> ArrayLayout:
-    """Read a layout written by :func:`write_layout_csv`."""
+    """Read a layout from CSV text in the :func:`layout_csv_text` format."""
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines or lines[0] != LAYOUT_CSV_HEADER:
         raise ValueError(f"{path}: expected header '{LAYOUT_CSV_HEADER}'")

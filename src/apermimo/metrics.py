@@ -177,22 +177,6 @@ class SinrCdf:
         idx = min(idx, CDF_NUM_BINS - 1)
         return float(CDF_MIN_DB + (idx + 0.5) * CDF_BIN_WIDTH_DB)
 
-    def percentile_ci(self, p: float, z: float = 1.96):
-        """Confidence interval for the p-quantile, in dB.
-
-        Uses the binomial standard error of the empirical CDF at level p
-        (order-statistic interval): the quantile lies between the empirical
-        quantiles at p -/+ z*sqrt(p(1-p)/n).
-        """
-        n = self.count
-        if n == 0:
-            raise InvalidStateError("empty SINR histogram")
-        half = z * math.sqrt(p * (1.0 - p) / n)
-        eps = 0.5 / n
-        lo = self.percentile(max(p - half, eps))
-        hi = self.percentile(min(p + half, 1.0 - eps))
-        return lo, hi
-
 
 def power_spread(profile: PowerProfile) -> float:
     """Power spread max(mu + sigma2) / min(mu - sigma2), in dB.

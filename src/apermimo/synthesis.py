@@ -78,23 +78,6 @@ class CumulativeDistribution:
     cumulative: np.ndarray
     total: float
 
-    @property
-    def x_max(self) -> float:
-        return float(self.positions[-1])
-
-    def evaluate(self, x):
-        """i(x) for scalar or array x in [0, X_max]."""
-        x = np.asarray(x, dtype=float)
-        j = np.clip(
-            np.searchsorted(self.positions, x, side="right") - 1,
-            0,
-            self.positions.size - 2,
-        )
-        t = x - self.positions[j]
-        mu0 = self.density[j]
-        slope = (self.density[j + 1] - mu0) / (self.positions[j + 1] - self.positions[j])
-        return self.cumulative[j] + t * (mu0 + 0.5 * slope * t)
-
 
 def cumulative_density(profile: DensityProfile) -> CumulativeDistribution:
     """Exact cumulative integral of the piecewise-linear density."""

@@ -99,8 +99,21 @@ def sweep_rows():
     return {(r.M, r.crowdedness): r for r in rows}
 
 
+def _percentile_ci(cdf: SinrCdf, p: float, z: float = 1.96):
+    """Confidence interval for the p-quantile, in dB.
+
+    Uses the binomial standard error of the empirical CDF at level p
+    (order-statistic interval): the quantile lies between the empirical
+    quantiles at p -/+ z*sqrt(p(1-p)/n).
+    """
+    n = cdf.count
+    half = z * math.sqrt(p * (1.0 - p) / n)
+    eps = 0.5 / n
+    return cdf.percentile(max(p - half, eps)), cdf.percentile(min(p + half, 1.0 - eps))
+
+
 def _half_ci(cdf: SinrCdf) -> float:
-    lo, hi = cdf.percentile_ci(0.05)
+    lo, hi = _percentile_ci(cdf, 0.05)
     return 0.5 * (hi - lo)
 
 

@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "sinr_gain",
     "sweep",
     "synthesize_aperiodic",
-    "write_layout_csv",
 ]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from apermimo import channel
-from apermimo.arrays import read_layout_csv, regular_layout, write_layout_csv
+from apermimo.arrays import layout_csv_text, read_layout_csv, regular_layout
 from apermimo.channel import calibrate_normalization, sample_wave_blocks, wave_field
 
 SEED = 424242
@@ -269,7 +269,7 @@ def test_wave_field_aperiodic_against_oracle():
 def test_wave_field_csv_round_trip_against_oracle(tmp_path):
     # a non-dyadic spacing: the sum grid rebuilds it only to within rounding
     path = tmp_path / "layout.csv"
-    write_layout_csv(regular_layout(50, 7.3), path)
+    path.write_text(layout_csv_text(regular_layout(50, 7.3)))
     pos = read_layout_csv(path).positions
     assert _fast_split(pos)
     _assert_field_matches_oracle(pos, 2, 20)

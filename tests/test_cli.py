@@ -9,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apermimo
-from apermimo.arrays import ArrayLayout, read_layout_csv, write_layout_csv
+from apermimo import cli
+from apermimo.arrays import ArrayLayout, layout_csv_text, read_layout_csv
 from apermimo.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -20,7 +23,7 @@ from apermimo.cli import (
     main,
     parse_config,
 )
-from apermimo.engine import ScenarioConfig, run_simulation
+from apermimo.engine import LINKS, ScenarioConfig, run_simulation
 
 
 def _run(argv):
@@ -80,6 +83,62 @@ def test_parse_config_malformed_line():
 def test_parse_config_missing_required():
     with pytest.raises(ConfigError, match="K"):
         parse_config("M=8")
+
+
+# One valid scenario key set: M and K, plus any of the optional keys.
+_OPTIONAL_KEYS = {
+    "waves_per_ue": st.integers(1, 20),
+    "aperture": st.floats(1e-3, 1e3),
+    "snr_db": st.floats(-200.0, 200.0),
+    "realizations": st.integers(1, 10**9),
+    "master_seed": st.integers(0, 2**64 - 1),
+    "link": st.sampled_from(LINKS),
+}
+
+
+@st.composite
+def _key_sets(draw):
+    m = draw(st.integers(2, 512))
+    values = {"M": m, "K": draw(st.integers(1, m))}
+    values.update(draw(st.fixed_dictionaries({}, optional=_OPTIONAL_KEYS)))
+    return draw(st.permutations(list(values.items())))
+
+
+def _config_text(items):
+    return "".join(f"{key}={value}\n" for key, value in items)
+
+
+def _scenario_from_flags(items):
+    flags = [f"{cli._SCENARIO_KEYS[key][0]}={value}" for key, value in items]
+    ns = cli.build_parser().parse_args(["simulate", *flags, "--out", "unused"])
+    return cli._build_scenario(cli._scenario_values(ns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_key_sets())
+def test_config_text_and_flags_parse_alike(items):
+    from_text = parse_config(_config_text(items))
+    assert from_text == _scenario_from_flags(items)
+    assert from_text == ScenarioConfig(**dict(items))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_key_sets(), st.data())
+def test_config_duplicate_key_is_rejected(items, data):
+    key, value = data.draw(st.sampled_from(items))
+    at = data.draw(st.integers(0, len(items)))
+    with pytest.raises(ConfigError, match="duplicate key"):
+        parse_config(_config_text([*items[:at], (key, value), *items[at:]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_key_sets(), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,12}", fullmatch=True), st.data())
+def test_config_unknown_key_is_rejected(items, key, data):
+    if key in cli._SCENARIO_KEYS:
+        return
+    at = data.draw(st.integers(0, len(items)))
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(_config_text([*items[:at], (key, "1"), *items[at:]]))
 
 
 # -------------------------------------------------------------- simulate
@@ -176,7 +235,7 @@ def test_config_file_with_flag_override(tmp_path):
 def test_simulate_with_layout_file(tmp_path):
     layout = ArrayLayout(np.array([0.0, 0.9, 2.2, 3.0]))
     path = tmp_path / "layout.csv"
-    write_layout_csv(layout, path)
+    path.write_text(layout_csv_text(layout))
     out = tmp_path / "out"
     code = _run(["simulate", "--M", "4", "--K", "2", "--realizations", "1500",
                  "--aperture", "3", "--layout", str(path), "--out", str(out)])
@@ -215,6 +274,24 @@ def test_workers_below_one_is_config_error(tmp_path, capsys, argv):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--oversampling", "1"],
+    ["--synthesis-realizations", "-5"],
+    ["--synthesis-realizations", "0"],
+], ids=["oversampling-1", "synthesis-realizations-negative", "synthesis-realizations-zero"])
+@pytest.mark.parametrize("command", ["synthesize", "compare", "sweep"])
+def test_synthesis_flags_are_validated(tmp_path, capsys, command, flags):
+    # these used to fail inside the engine (exit 3) or, for 0, to run the
+    # 100 000-draw default; now they are configuration errors, caught early
+    sizes = (["--bs-counts", "4", "--crowdedness", "0.5"] if command == "sweep"
+             else ["--M", "4", "--K", "2"])
+    code = _run([command, *sizes, *flags, "--realizations", "1200",
+                 "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "error:config-error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory\n")
@@ -227,7 +304,7 @@ def test_io_error_exit_code(tmp_path, capsys):
 def test_engine_error_exit_code(tmp_path, capsys):
     layout = ArrayLayout(np.array([0.0, 1.0]))
     path = tmp_path / "two.csv"
-    write_layout_csv(layout, path)
+    path.write_text(layout_csv_text(layout))
     code = _run(["simulate", "--M", "4", "--K", "2", "--realizations", "1500",
                  "--layout", str(path), "--out", str(tmp_path / "x")])
     assert code == EXIT_RUNTIME
@@ -304,7 +381,7 @@ def test_synthesize_round_trip(tmp_path):
     assert layout.positions[-1] == pytest.approx(3.0)
     # writing the parsed layout again reproduces the file byte-for-byte
     again = tmp_path / "again.csv"
-    write_layout_csv(layout, again)
+    again.write_text(layout_csv_text(layout))
     assert _read(again) == _read(out / "layout.csv")
     profile = (out / "mu_profile.csv").read_text().splitlines()
     assert profile[0] == "position_lambda,mu"
@@ -320,7 +397,7 @@ def test_synthesize_round_trip(tmp_path):
 def test_compare_with_explicit_layout(tmp_path):
     regular = ArrayLayout(np.arange(4.0))
     path = tmp_path / "reg.csv"
-    write_layout_csv(regular, path)
+    path.write_text(layout_csv_text(regular))
     out = tmp_path / "cmp"
     code = _run(["compare", "--M", "4", "--K", "2", "--realizations", "1500",
                  "--seed", "21", "--layout", str(path), "--out", str(out)])
@@ -390,3 +467,96 @@ def test_sweep_validates_crowdedness(tmp_path):
     code = _run(["sweep", "--bs-counts", "4", "--crowdedness", "1.5",
                  "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
+
+
+# ------------------------------------------------------------ golden bytes
+
+# SHA-256 of every file five small runs write; manifest.json is hashed as
+# re-serialized without its one timing field. Taken with numpy 2.4.6 and
+# OpenBLAS 0.3.31 on Python 3.11 (x86-64); the same bytes came out with one
+# and with two BLAS threads. Another numpy or BLAS build may move the last
+# bits of a figure, so a failure here on a different stack is not by itself
+# a regression: compare against a run of the previous commit there.
+_GOLDEN_RUNS = {
+    "simulate-los": (
+        ["simulate", "--M", "6", "--K", "2", "--waves-per-ue", "3",
+         "--realizations", "1500", "--seed", "11"],
+        {
+            "cdf.csv": "a46bd01f854eb0313a866c25dbd9c3c5b82c2d015f78ed701b4cf0ac12ad66ba",
+            "layout.csv": "1302ae728be9b2ba7cc1f49cd0f3d46fb0aad6a88b9169729524aa1cf88e1241",
+            "manifest.json": "c114f7f4acef154ba9adc6f2efeff4ac323148107e7e9b90a0d251850ece2257",
+            "power.csv": "24501610538498d8e3b391c8589683a4fa697b287c048e64ed5ffd89d82c101c",
+            "summary.json": "6b809b1be0ab6edc82063b2f7e242b2721f7f6ca276d9ad514bbf5ea34a7a1b5",
+        },
+    ),
+    "simulate-downlink": (
+        ["simulate", "--M", "5", "--K", "2", "--aperture", "3.5", "--link", "downlink",
+         "--snr-db", "10", "--realizations", "1200", "--seed", "12"],
+        {
+            "cdf.csv": "6e755670a0211557e7fca33c42b339bd93153d48efadf9d89ada1036e2f7d588",
+            "layout.csv": "8c3585b2cb8eecf958e3038c2102cc2b543e73753777eb275f1d708beffa1e9c",
+            "manifest.json": "07d8546651bdae2ee3291abb99f988f3478365a396e870d010a7cea20a2feb58",
+            "power.csv": "0a1c577331cfb4aed1e4d8f9690a09f52e1302144edb6d52b149a2ad661595b6",
+            "summary.json": "2e60d4a5f4d3d8cac1f76a08c6f3f951ef554406269c3441c2a57ff379604660",
+        },
+    ),
+    "synthesize": (
+        ["synthesize", "--M", "6", "--K", "2", "--oversampling", "2",
+         "--synthesis-realizations", "1200", "--seed", "13"],
+        {
+            "layout.csv": "79b585c292b0f13724e39b6ecb3e4976f61b8979aa8c13e668625c297ae34ed6",
+            "manifest.json": "357cc61cfdb8dd75435ac9ba5e1061f66a80bd2feffe681a05e6aec33c3a04b2",
+            "mu_profile.csv": "29247b75082c2462e0843901dcbab882f1ec2e55470ea3a549e2735cc313e26a",
+            "summary.json": "43726297d1c385e9157b05dcecedf0a76c33c8752627df220b9b57d34e3a4a8c",
+        },
+    ),
+    "compare": (
+        ["compare", "--M", "6", "--K", "2", "--waves-per-ue", "2", "--oversampling", "2",
+         "--synthesis-realizations", "1200", "--realizations", "1200", "--seed", "14"],
+        {
+            "cdf_aperiodic.csv": "65e374a5094b3adc6991daeb529f52357f306e8952919fe1d781eedb1dc4556b",
+            "cdf_regular.csv": "3a89017a788d6054896f3c94aa587a4570b9fea9485f4673214e114b3c9863ec",
+            "layout_aperiodic.csv": "1852121ac3c5ca008c8fcb707e79757a6f13855d81d2f6cf83e19728fda9a3cf",
+            "layout_regular.csv": "1302ae728be9b2ba7cc1f49cd0f3d46fb0aad6a88b9169729524aa1cf88e1241",
+            "manifest.json": "12ee33fc2c7d40fbc872a882b52dc0842f013e1a27ce04fdf4c944faec16d631",
+            "power_aperiodic.csv": "a1b2b7f1c6ca94430f817cf51c032a1b090628b5220b9891ff768631a4470bb8",
+            "power_regular.csv": "508e3dc4936968073fceddf56036925dd7b8c5a9e0765cfc59e7bd7c65f03f82",
+            "summary.json": "34b45bbc362464746ccfd5714429c44193aeaa986dce29ef69af49a6fb7f6c40",
+        },
+    ),
+    # the first grid point (M=2, 0.1) is infeasible and the aperture is
+    # explicit: the header scenario is (M=2, K=1) with the user's 7.0
+    "sweep": (
+        ["sweep", "--bs-counts", "2,4,6", "--crowdedness", "0.1,0.5", "--aperture", "7",
+         "--oversampling", "2", "--synthesis-realizations", "1200",
+         "--realizations", "1200", "--seed", "15"],
+        {
+            "manifest.json": "405e0d44fbc85005661ed607ce922f5d9495392c7fe7b6a4ac9a55a3a876a462",
+            "summary.json": "bd13adddf5579e560b96dc414f573b4e6353e0fe47e9d2ead7c7ce6cd3757b2a",
+            "sweep.csv": "0522eda6ff73d71d8fb2b28d5d3c673c9046dc91686e6e5ce7210a87689422be",
+        },
+    ),
+}
+
+
+def _digests(out):
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            del manifest["elapsed_seconds"]
+            data = json.dumps(manifest, indent=2, sort_keys=True).encode()
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("run", sorted(_GOLDEN_RUNS))
+def test_golden_output_bytes(tmp_path, run):
+    argv, expected = _GOLDEN_RUNS[run]
+    out = tmp_path / run
+    assert _run(argv + ["--out", str(out)]) == EXIT_OK
+    assert _digests(out) == expected
+    if run == "sweep":
+        scenario = json.loads((out / "summary.json").read_text())["scenario"]
+        assert (scenario["M"], scenario["K"], scenario["aperture"]) == (2, 1, 7.0)

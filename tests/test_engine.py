@@ -12,6 +12,7 @@ from apermimo.engine import (
     ComparisonReport,
     ScenarioConfig,
     SweepRow,
+    _block_stats,
     _simulate_block,
     compare_layouts,
     default_layout,
@@ -237,6 +238,31 @@ def test_sweep_skips_infeasible_points():
     assert row.M == 4 and row.K == 2
     assert row.crowdedness == 0.5
     assert math.isfinite(row.sinrg_db)
+
+
+def test_zero_synthesis_realizations_is_not_the_default():
+    # 0 used to fall through an ``or`` to the 100 000-draw default
+    sc = _small_scenario(M=4, K=2, realizations=1_200)
+    for run in (lambda: compare_layouts(sc, dense_oversampling=2, synthesis_realizations=0),
+                lambda: sweep(sc, [4], [0.5], dense_oversampling=2, synthesis_realizations=0)):
+        with pytest.warns(RuntimeWarning, match="recommended"), \
+                pytest.raises(ValueError, match="realizations"):
+            run()
+
+
+def test_block_stats_merge_folds_every_field():
+    sc = _small_scenario(realizations=600)
+    layout = default_layout(sc)
+    whole = _block_stats((sc, layout, 1.0, 0, 600, STREAM_EVAL))
+    halves = _block_stats((sc, layout, 1.0, 0, 250, STREAM_EVAL))
+    halves.merge(_block_stats((sc, layout, 1.0, 250, 600, STREAM_EVAL)))
+    np.testing.assert_array_equal(halves.cdf.counts, whole.cdf.counts)
+    assert halves.rejected == whole.rejected
+    assert halves.max_residual == whole.max_residual
+    assert halves.rate.count == halves.power.count == 600 - whole.rejected
+    np.testing.assert_allclose(halves.rate.mean, whole.rate.mean, rtol=1e-12)
+    np.testing.assert_allclose(halves.power.mean, whole.power.mean, rtol=1e-12)
+    np.testing.assert_allclose(halves.power.variance, whole.power.variance, rtol=1e-10)
 
 
 def test_sweep_sets_k_by_rounding():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
 from apermimo.engine import BLOCK, ScenarioConfig, _simulate_block, default_layout, run_simulation
@@ -98,6 +101,43 @@ def test_moments_merge_order_insensitive():
     ba = StreamingMoments(3).merge(b).merge(a)
     np.testing.assert_allclose(ab.mean, ba.mean, rtol=1e-12)
     np.testing.assert_allclose(ab.variance, ba.variance, rtol=1e-12)
+
+
+@st.composite
+def _batch_and_cuts(draw):
+    n = draw(st.integers(1, 60))
+    dim = draw(st.integers(1, 4))
+    batch = draw(arrays(float, (n, dim), elements=st.floats(-1e3, 1e3)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    return batch, cuts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batch_and_cuts())
+def test_any_ordered_split_merges_to_the_batch(batch_and_cuts):
+    """Merging the parts of any ordered split (empty parts included) in
+    order gives the one-batch moments up to round-off."""
+    batch, cuts = batch_and_cuts
+    whole = StreamingMoments.from_batch(batch)
+    merged = StreamingMoments(batch.shape[1])
+    for part in np.split(batch, cuts):
+        merged.merge(StreamingMoments.from_batch(part))
+    assert merged.count == whole.count == batch.shape[0]
+    scale = 1.0 + np.abs(batch).max()
+    n = batch.shape[0]
+    np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12, atol=1e-13 * scale)
+    np.testing.assert_allclose(merged._m2, whole._m2, rtol=1e-9, atol=1e-12 * n * scale**2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_batch_and_cuts())
+def test_merge_into_empty_is_bit_exact(batch_and_cuts):
+    batch, _ = batch_and_cuts
+    src = StreamingMoments.from_batch(batch)
+    dst = StreamingMoments(batch.shape[1]).merge(src)
+    assert dst.count == src.count
+    np.testing.assert_array_equal(dst.mean, src.mean)
+    np.testing.assert_array_equal(dst._m2, src._m2)
 
 
 def test_merge_into_empty_is_exact():

@@ -1,7 +1,11 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apermimo.arrays import regular_layout
 from apermimo.engine import ScenarioConfig
@@ -26,6 +30,17 @@ def _uniform_profile(x_max=7.0, n=64):
 def _ramp_profile(n=4_097):
     x = np.linspace(0.0, 1.0, n)
     return DensityProfile(positions=x, values=x.copy())
+
+
+def _cumulative_at(cum: CumulativeDistribution, x):
+    """i(x) for scalar or array x in [0, X_max]: the quadratic piece of the
+    segment holding x, from the node cumulatives and the linear density."""
+    x = np.asarray(x, dtype=float)
+    j = np.clip(np.searchsorted(cum.positions, x, side="right") - 1, 0, cum.positions.size - 2)
+    t = x - cum.positions[j]
+    mu0 = cum.density[j]
+    slope = (cum.density[j + 1] - mu0) / (cum.positions[j + 1] - cum.positions[j])
+    return cum.cumulative[j] + t * (mu0 + 0.5 * slope * t)
 
 
 def _scan_invert(profile: DensityProfile, targets, n_scan=1_000_001):
@@ -56,13 +71,13 @@ def test_cumulative_of_uniform_density():
     cum = cumulative_density(_uniform_profile())
     assert cum.total == pytest.approx(7.0, abs=1e-12)
     for x in (0.0, 1.3, 3.5, 7.0):
-        assert cum.evaluate(x) == pytest.approx(x, abs=1e-12)
+        assert _cumulative_at(cum, x) == pytest.approx(x, abs=1e-12)
 
 
 def test_cumulative_of_ramp_density():
     cum = cumulative_density(_ramp_profile())
     assert cum.total == pytest.approx(0.5, abs=1e-9)
-    assert cum.evaluate(0.6) == pytest.approx(0.18, abs=1e-9)
+    assert _cumulative_at(cum, 0.6) == pytest.approx(0.18, abs=1e-9)
 
 
 def test_cumulative_matches_fine_quadrature():
@@ -132,7 +147,7 @@ def test_invert_roundtrip_tolerance():
     for frac in rng.uniform(0.0, 1.0, 200):
         target = frac * cum.total
         pos = invert_cumulative(cum, target)
-        assert abs(float(cum.evaluate(pos)) - target) <= 1e-10 * cum.total
+        assert abs(float(_cumulative_at(cum, pos)) - target) <= 1e-10 * cum.total
 
 
 # ---------------------------------------------------------- density taper
@@ -191,7 +206,7 @@ def test_taper_equal_mass_between_elements():
     m = 10
     layout = density_taper(profile, m)
     cum = cumulative_density(profile)
-    masses = np.diff(cum.evaluate(layout.positions))
+    masses = np.diff(_cumulative_at(cum, layout.positions))
     np.testing.assert_allclose(
         masses, cum.total / (m - 1), atol=1e-9 * cum.total
     )
@@ -216,6 +231,39 @@ def test_taper_min_separation_enforced_with_warning():
     assert np.all(np.diff(layout.positions) >= MIN_SEPARATION - 1e-12)
     assert layout.positions[0] == 0.0
     assert layout.positions[-1] == 7.0
+
+
+@st.composite
+def _profiles_and_sizes(draw):
+    """A density with zero plateaus and spikes, and an element count that fits."""
+    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=40))
+    positions = np.concatenate(([0.0], np.cumsum(steps)))
+    density = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    values = draw(st.lists(density, min_size=positions.size, max_size=positions.size)
+                  .filter(lambda v: any(x > 0.0 for x in v)))
+    profile = DensityProfile(positions=positions, values=np.array(values))
+    fit = int(profile.x_max / MIN_SEPARATION) + 1  # (m - 1) * MIN_SEPARATION <= X_max
+    return profile, draw(st.integers(2, max(2, min(fit, 60))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_profiles_and_sizes())
+def test_taper_spacing_properties(profile_and_m):
+    """Any fitting profile tapers to m strictly ascending elements pinned at
+    0 and X_max, no two closer than MIN_SEPARATION up to round-off: the
+    spreading step adds i * MIN_SEPARATION in floating point, so a spread
+    gap can land an ulp short (density 0 -> 1 on [0, 1] at m = 12 gives
+    0.04999999999999993)."""
+    profile, m = profile_and_m
+    if (m - 1) * MIN_SEPARATION > profile.x_max:
+        return  # only when X_max < MIN_SEPARATION, where m = 2 cannot fit either
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the spreading notice
+        pos = density_taper(profile, m).positions
+    assert pos.size == m
+    assert pos[0] == 0.0 and pos[-1] == profile.x_max
+    assert np.all(np.diff(pos) > 0.0)
+    assert np.diff(pos).min() >= MIN_SEPARATION - 4 * np.spacing(profile.x_max)
 
 
 def test_taper_rejects_tiny_m():
