@@ -11,7 +11,9 @@ of user k over elements at positions x_m (in wavelengths) is
 
 with g the Huygens element pattern and cos(psi) the scalar polarization
 mismatch between the wave and a co-polarized array. A layout equispaced to
-a few ulp is summed over a coarse[q] + fine[b] grid: ~2 sqrt(M) exps a wave.
+a few ulp is summed over a coarse[q] + fine[b] grid: each wave takes one
+exponential per grid step, and the grid's phasors are their powers,
+filled in by doubling.
 
 All randomness comes from Philox4x32-10 keyed by the 64-bit master_seed
 (low word, high word): call c of realization r, user k and stream kind has
@@ -88,15 +90,37 @@ def sample_wave_blocks(master_seed, kind, indices, num_users, num_waves):
 
 
 def _sum_grid(positions):
-    """Sum grid (coarse, fine) of the positions; see :func:`wave_field`."""
+    """(origin, spacing, B) of an equispaced layout, else None; see :func:`wave_field`."""
     m = positions.size
     b = int(np.ceil(np.sqrt(m)))
     step = (positions[-1] - positions[0]) / max(m - 1, 1)
-    fine = np.arange(b) * step
     coarse = positions[0] + np.arange(-(-m // b)) * (b * step)
-    error = np.abs((coarse[:, None] + fine).ravel()[:m] - positions).max()
+    error = np.abs((coarse[:, None] + np.arange(b) * step).ravel()[:m] - positions).max()
     tol = 4.0 * np.finfo(float).eps * np.abs(positions).max()
-    return (coarse, fine) if error <= tol else (positions, np.zeros(1))
+    return (positions[0], step, b) if error <= tol else None
+
+
+def _powers(z, count):
+    """z**0 ... z**(count - 1) on a new leading axis, by doubling.
+
+    Step n fills out[n:2n] = out[:n] * z**n, one contiguous multiply over
+    every entry of z, and squares z**n for the next step.
+    """
+    out = np.empty((count, *np.shape(z)), dtype=complex)
+    out[0] = 1.0
+    n, zn = 1, z
+    while n < count:
+        if n > 1:
+            zn = zn * zn
+        np.multiply(out[: min(n, count - n)], zn, out=out[n : 2 * n])
+        n *= 2
+    return out
+
+
+def _phasors(kx, x):
+    """exp(j kx x) for real kx and x, with one complex temporary."""
+    z = kx * (1j * x)
+    return np.exp(z, out=z)
 
 
 def wave_field(positions, aoa, amplitude, phase, pol_angle, norm: float):
@@ -104,18 +128,35 @@ def wave_field(positions, aoa, amplitude, phase, pol_angle, norm: float):
 
     The wave arrays share a trailing axis of length L; any leading axes
     broadcast, so (L,) inputs give one channel row of length M while
-    (n, K, L) inputs give an (n, K, M) stack of channel matrices. Element
-    q B + b sits at coarse[q] + fine[b]: B = ceil(sqrt(M)) equal spacings
-    when they rebuild every position to within a few ulp of the aperture,
-    else coarse = positions and fine = [0]. The wave coefficients ride on
-    the fine phasors, and a batched (Q, L) @ (L, B) product sums the waves
-    without an (L, M) phasor tensor.
+    (n, K, L) inputs give an (n, K, M) stack of channel matrices. When B =
+    ceil(sqrt(M)) equal spacings d rebuild every position to within a few
+    ulp of the aperture, element q B + b sits at x0 + q B d + b d and its
+    phasor is exp(j kx x0) Z**q z**b, with Z = exp(j kx B d) and z =
+    exp(j kx d): two exponentials a wave (three if x0 != 0), raised to
+    powers by doubling. Other layouts take one exponential per element and
+    wave, as a grid with B = 1. The wave coefficients ride on the fine
+    phasors, and a batched (Q, L) @ (L, B) product sums the waves without
+    an (L, M) phasor tensor.
     """
-    coarse, fine = _sum_grid(np.asarray(positions, dtype=float))
+    positions = np.asarray(positions, dtype=float)
+    m = positions.size
     coeff = amplitude * np.exp(1j * phase) * np.cos(pol_angle) * huygens_gain(aoa) / norm
-    kx = 2.0 * np.pi * np.sin(aoa)[..., None]
-    h = np.exp(1j * kx * coarse).swapaxes(-1, -2) @ (coeff[..., None] * np.exp(1j * kx * fine))
-    return h.reshape(*h.shape[:-2], -1)[..., : len(positions)]
+    kx = np.broadcast_to(2.0 * np.pi * np.sin(aoa), coeff.shape)
+    grid = _sum_grid(positions)
+    if grid is None:
+        # (M, ..., L) view of (..., L, M) phasors: each draw's block stays contiguous
+        coarse = np.moveaxis(_phasors(kx[..., None], positions), -1, 0)
+        fine = coeff[None]
+    else:
+        origin, step, b = grid
+        if origin:
+            coeff = coeff * _phasors(kx, origin)
+        coarse = _powers(_phasors(kx, b * step), -(-m // b))
+        fine = _powers(_phasors(kx, step), b)
+        fine *= coeff
+    # grid index leading: both operands are strided views that BLAS reads in place
+    h = np.moveaxis(coarse, 0, -2) @ np.moveaxis(fine, 0, -1)
+    return h.reshape(*h.shape[:-2], -1)[..., :m]
 
 
 def _sub_batch(k: int, l: int, m: int) -> int:

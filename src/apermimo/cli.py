@@ -26,6 +26,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -380,6 +381,19 @@ def _add_flags(sub, table, skip=()):
                              metavar=flag[2:].upper().replace("-", "_"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes any negative float literal as a value.
+
+    argparse reads only ``-3`` and ``-3.5`` as negative numbers, so
+    ``--snr-db -1e-05`` would fail with "expected one argument".
+    Subcommand parsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 _COMMANDS = (
     ("simulate", "evaluate one layout", _cmd_simulate),
     ("synthesize", "emit an aperiodic layout", _cmd_synthesize),
@@ -389,7 +403,7 @@ _COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="apermimo",
         description="Monte-Carlo MU-MIMO link simulation and aperiodic array synthesis",
     )

@@ -191,7 +191,8 @@ def _simulate_block(scenario, layout, norm, start, stop, eval_stream):
                 sinr[s:e] = snr / zf.noise_gain
         else:
             sinr[s:e] = (zf.beta * snr)[:, None]
-        power[s:e] = zf.beta[:, None] * np.abs(zf.weights.sum(axis=2)) ** 2
+        # sum over users as one batched matrix-vector product, not a strided reduction
+        power[s:e] = zf.beta[:, None] * np.abs(zf.weights @ np.ones(k)) ** 2
         residual[s:e] = zf.residual
         ok[s:e] = ok_se
     return {

@@ -237,7 +237,8 @@ def _field_oracle(positions, aoa, amp, phase, pol, norm):
 
 
 def _fast_split(positions):
-    return channel._sum_grid(np.asarray(positions, dtype=float))[1].size > 1
+    grid = channel._sum_grid(np.asarray(positions, dtype=float))
+    return grid is not None and grid[2] > 1
 
 
 def _assert_field_matches_oracle(positions, k, waves, draws=2, seed=SEED):
@@ -249,14 +250,15 @@ def _assert_field_matches_oracle(positions, k, waves, draws=2, seed=SEED):
 
 
 @pytest.mark.parametrize(
-    "m, aperture, k, waves",
-    [(121, 15.0, 2, 20), (505, 63.0, 3, 1)],
-    ids=["dense-16-rimp", "dense-64-rlos"],
+    "m, aperture, k, waves, origin",
+    [(121, 15.0, 2, 20, 0.0), (505, 63.0, 3, 1, 0.0), (600, 599.0, 2, 3, 0.0),
+     (64, 31.5, 2, 20, 3.25)],
+    ids=["dense-16-rimp", "dense-64-rlos", "long-aperture", "offset"],
 )
-def test_wave_field_regular_against_oracle(m, aperture, k, waves):
-    lay = regular_layout(m, aperture)
-    assert _fast_split(lay.positions)
-    _assert_field_matches_oracle(lay.positions, k, waves)
+def test_wave_field_regular_against_oracle(m, aperture, k, waves, origin):
+    pos = regular_layout(m, aperture).positions + origin
+    assert _fast_split(pos) and channel._sum_grid(pos)[0] == origin
+    _assert_field_matches_oracle(pos, k, waves)
 
 
 def test_wave_field_aperiodic_against_oracle():
@@ -302,7 +304,34 @@ def test_wave_field_tiny_arrays_against_oracle(m):
 def test_regular_layouts_take_the_sum_grid():
     for m in range(2, 601):
         for aperture in (m - 1.0, (m - 1.0) / 8):
-            assert _fast_split(regular_layout(m, aperture).positions), (m, aperture)
+            pos = regular_layout(m, aperture).positions
+            assert _fast_split(pos), (m, aperture)
+            origin, step, b = channel._sum_grid(pos)
+            assert (origin, b) == (0.0, np.ceil(np.sqrt(m))), (m, aperture)
+            assert step == pytest.approx(aperture / (m - 1), rel=1e-15), (m, aperture)
+
+
+def test_powers_match_direct_exponentials():
+    """Doubling against one np.exp per power, for every count up to 600."""
+    theta = np.linspace(-2 * np.pi, 2 * np.pi, 25)  # covers kx d for d up to one wavelength
+    z = np.exp(1j * theta)
+    for count in range(1, 601):
+        p = channel._powers(z, count)
+        assert p.shape == (count, theta.size)
+        assert np.max(np.abs(np.abs(p) - 1.0)) <= 1e-13, count
+        # np.exp rounds the argument i theta itself: ~i |theta| eps, 4e-13 at i = 599
+        direct = np.exp(1j * np.arange(count)[:, None] * theta)
+        assert np.max(np.abs(p - direct)) <= 1e-12, count
+
+
+@pytest.mark.parametrize("positions", [np.arange(8) * 1.0, np.array([0.0, 0.7, 2.1, 3.3])],
+                         ids=["regular", "aperiodic"])
+def test_wave_field_broadcasts_wave_arrays(positions):
+    aoa, amp, phase, pol = sample_wave_blocks(SEED, channel.STREAM_EVAL, range(3), 2, 4)
+    h = wave_field(positions, aoa[0, 0], amp, phase, pol, norm=1.0)
+    ref = wave_field(positions, np.broadcast_to(aoa[0, 0], amp.shape), amp, phase, pol, norm=1.0)
+    assert h.shape == (3, 2, len(positions))
+    np.testing.assert_array_equal(h, ref)
 
 
 def test_single_wave_row_has_constant_modulus():

@@ -114,6 +114,19 @@ def _scenario_from_flags(items):
     return cli._build_scenario(cli._scenario_values(ns))
 
 
+@pytest.mark.parametrize("value", ["-1e-05", "-2E1", "-.5e1", "-3", "-0.25"])
+def test_negative_flag_values_parse(value):
+    """A negative value after its flag parses as with the flag=value form."""
+    def scenario(*flags):
+        ns = cli.build_parser().parse_args(["simulate", "--M", "4", "--K", "2", *flags,
+                                            "--out", "unused"])
+        return cli._build_scenario(cli._scenario_values(ns))
+
+    sc = scenario("--snr-db", value)
+    assert sc == scenario(f"--snr-db={value}")
+    assert sc.snr_db == float(value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_key_sets())
 def test_config_text_and_flags_parse_alike(items):
@@ -477,6 +490,8 @@ def test_sweep_validates_crowdedness(tmp_path):
 # and with two BLAS threads. Another numpy or BLAS build may move the last
 # bits of a figure, so a failure here on a different stack is not by itself
 # a regression: compare against a run of the previous commit there.
+# ``PYTHONPATH=src python3 tests/test_cli.py`` prints this table for the
+# current code.
 _GOLDEN_RUNS = {
     "simulate-los": (
         ["simulate", "--M", "6", "--K", "2", "--waves-per-ue", "3",
@@ -484,9 +499,9 @@ _GOLDEN_RUNS = {
         {
             "cdf.csv": "a46bd01f854eb0313a866c25dbd9c3c5b82c2d015f78ed701b4cf0ac12ad66ba",
             "layout.csv": "1302ae728be9b2ba7cc1f49cd0f3d46fb0aad6a88b9169729524aa1cf88e1241",
-            "manifest.json": "c114f7f4acef154ba9adc6f2efeff4ac323148107e7e9b90a0d251850ece2257",
+            "manifest.json": "bb2fa8fe0b9ae6e282ae6d1c5a1b04199383aee38fd682c2efa08f8deed394eb",
             "power.csv": "24501610538498d8e3b391c8589683a4fa697b287c048e64ed5ffd89d82c101c",
-            "summary.json": "6b809b1be0ab6edc82063b2f7e242b2721f7f6ca276d9ad514bbf5ea34a7a1b5",
+            "summary.json": "9e3b6d4e7c3ba936cecf2722bfa27bc43cd042529841d442ed0a7a431cd1c9b8",
         },
     ),
     "simulate-downlink": (
@@ -495,17 +510,17 @@ _GOLDEN_RUNS = {
         {
             "cdf.csv": "6e755670a0211557e7fca33c42b339bd93153d48efadf9d89ada1036e2f7d588",
             "layout.csv": "8c3585b2cb8eecf958e3038c2102cc2b543e73753777eb275f1d708beffa1e9c",
-            "manifest.json": "07d8546651bdae2ee3291abb99f988f3478365a396e870d010a7cea20a2feb58",
+            "manifest.json": "5b8cf98349cec719572a32e4c8679e8619cfdd26b813a828acb901a0e88b5b2b",
             "power.csv": "0a1c577331cfb4aed1e4d8f9690a09f52e1302144edb6d52b149a2ad661595b6",
-            "summary.json": "2e60d4a5f4d3d8cac1f76a08c6f3f951ef554406269c3441c2a57ff379604660",
+            "summary.json": "efa8da3bba5607b27ed2deb471d22af6a81f2392e539747bd8cc33f119e3cbed",
         },
     ),
     "synthesize": (
         ["synthesize", "--M", "6", "--K", "2", "--oversampling", "2",
          "--synthesis-realizations", "1200", "--seed", "13"],
         {
-            "layout.csv": "79b585c292b0f13724e39b6ecb3e4976f61b8979aa8c13e668625c297ae34ed6",
-            "manifest.json": "357cc61cfdb8dd75435ac9ba5e1061f66a80bd2feffe681a05e6aec33c3a04b2",
+            "layout.csv": "f6ea5431cdcb8d7ad620553c816a34e5d91159bc22b2b071b26bd7b1b6cd1de3",
+            "manifest.json": "64f22127611f66b728311d99af204815df2ab1c49f45b3acf6a443b061f963f2",
             "mu_profile.csv": "29247b75082c2462e0843901dcbab882f1ec2e55470ea3a549e2735cc313e26a",
             "summary.json": "43726297d1c385e9157b05dcecedf0a76c33c8752627df220b9b57d34e3a4a8c",
         },
@@ -516,12 +531,12 @@ _GOLDEN_RUNS = {
         {
             "cdf_aperiodic.csv": "65e374a5094b3adc6991daeb529f52357f306e8952919fe1d781eedb1dc4556b",
             "cdf_regular.csv": "3a89017a788d6054896f3c94aa587a4570b9fea9485f4673214e114b3c9863ec",
-            "layout_aperiodic.csv": "1852121ac3c5ca008c8fcb707e79757a6f13855d81d2f6cf83e19728fda9a3cf",
+            "layout_aperiodic.csv": "393366c15d6a2122d94497fe2b6ad6a635c856f228a24e8030a02c7c02705e43",
             "layout_regular.csv": "1302ae728be9b2ba7cc1f49cd0f3d46fb0aad6a88b9169729524aa1cf88e1241",
-            "manifest.json": "12ee33fc2c7d40fbc872a882b52dc0842f013e1a27ce04fdf4c944faec16d631",
+            "manifest.json": "20b1b730e255e741adad8436b3e056610d39ce5ad24a93a22c9bdaae5332af28",
             "power_aperiodic.csv": "a1b2b7f1c6ca94430f817cf51c032a1b090628b5220b9891ff768631a4470bb8",
             "power_regular.csv": "508e3dc4936968073fceddf56036925dd7b8c5a9e0765cfc59e7bd7c65f03f82",
-            "summary.json": "34b45bbc362464746ccfd5714429c44193aeaa986dce29ef69af49a6fb7f6c40",
+            "summary.json": "4f74372b057b6c8d56357b3e072ed25d46c758f12c9ab016c9f0a27ff55a68b6",
         },
     ),
     # the first grid point (M=2, 0.1) is infeasible and the aperture is
@@ -560,3 +575,32 @@ def test_golden_output_bytes(tmp_path, run):
     if run == "sweep":
         scenario = json.loads((out / "summary.json").read_text())["scenario"]
         assert (scenario["M"], scenario["K"], scenario["aperture"]) == (2, 1, 7.0)
+
+
+def _print_golden_table():
+    """Print the _GOLDEN_RUNS digests of the current code, in the table's layout.
+
+    Run as ``PYTHONPATH=src python3 tests/test_cli.py`` to re-record the
+    table: paste each run's lines over its recorded digests. A comment
+    above each run counts the files whose digest changed, and each
+    changed line is marked.
+    """
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for run, (argv, recorded) in sorted(_GOLDEN_RUNS.items()):
+            out = Path(tmp) / run
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert _run(argv + ["--out", str(out)]) == EXIT_OK
+            digests = _digests(out)
+            changed = [name for name, d in digests.items() if recorded.get(name) != d]
+            print(f"    # {run}: {len(changed)} of {len(digests)} digests changed")
+            for name, digest in digests.items():
+                mark = "  # changed" if name in changed else ""
+                print(f'            "{name}": "{digest}",{mark}')
+
+
+if __name__ == "__main__":
+    _print_golden_table()
