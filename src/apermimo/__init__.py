@@ -35,11 +35,8 @@ from .metrics import (
     sinr_gain,
 )
 from .synthesis import (
-    CumulativeDistribution,
     DensityProfile,
-    cumulative_density,
     density_taper,
-    invert_cumulative,
     reference_profile,
     synthesize_aperiodic,
 )
@@ -48,7 +45,6 @@ __all__ = [
     "ArrayLayout",
     "COND_LIMIT",
     "ComparisonReport",
-    "CumulativeDistribution",
     "DensityProfile",
     "PowerProfile",
     "RESIDUAL_LIMIT",
@@ -59,10 +55,8 @@ __all__ = [
     "SweepRow",
     "calibrate_normalization",
     "compare_layouts",
-    "cumulative_density",
     "density_taper",
     "huygens_gain",
-    "invert_cumulative",
     "power_spread",
     "psc",
     "read_layout_csv",

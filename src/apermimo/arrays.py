@@ -48,8 +48,8 @@ def regular_layout(m: int, aperture: float) -> ArrayLayout:
     """
     if m < 2:
         raise ValueError(f"a regular layout needs at least 2 elements, got m={m}")
-    if aperture <= 0.0:
-        raise ValueError(f"aperture must be positive, got {aperture}")
+    if not 0.0 < aperture < np.inf:
+        raise ValueError(f"aperture must be positive and finite, got {aperture}")
     return ArrayLayout(np.arange(m) * aperture / (m - 1))
 
 

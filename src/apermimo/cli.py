@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__, engine, synthesis
 from .arrays import layout_csv_text, read_layout_csv
+from .channel import MAX_WAVES
 from .engine import ScenarioConfig
 
 EXIT_OK = 0
@@ -84,8 +85,8 @@ def _parse_link(text: str) -> str:
 _SCENARIO_KEYS = {
     "M": ("--M", _parse_int("M"), "base-station element count"),
     "K": ("--K", _parse_int("K"), "number of simultaneous users"),
-    "waves_per_ue": ("--waves-per-ue", _parse_int("waves_per_ue", 1, 20),
-                     "plane waves per user, 1..20"),
+    "waves_per_ue": ("--waves-per-ue", _parse_int("waves_per_ue", 1, MAX_WAVES),
+                     f"plane waves per user, 1..{MAX_WAVES}"),
     "aperture": ("--aperture", _parse_float("aperture"), "aperture in wavelengths"),
     "snr_db": ("--snr-db", _parse_float("snr_db"), "average per-user SNR in dB"),
     "realizations": ("--realizations", _parse_int("realizations"),
@@ -126,11 +127,6 @@ def config_values(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _SCENARIO_KEYS[key][1](val)
     return values
-
-
-def parse_config(text: str) -> ScenarioConfig:
-    """Build a validated scenario from key=value configuration text."""
-    return _build_scenario(config_values(text))
 
 
 def _build_scenario(values: dict) -> ScenarioConfig:

@@ -90,6 +90,8 @@ class ScenarioConfig:
             object.__setattr__(self, "aperture", float(self.M - 1))
         else:
             object.__setattr__(self, "aperture", float(self.aperture))
+        if not math.isfinite(self.aperture):
+            raise ValueError(f"aperture must be finite, got {self.aperture}")
         if self.M > 1 and self.aperture <= 0.0:
             raise ValueError(f"aperture must be positive, got {self.aperture}")
         if self.M == 1 and self.aperture != 0.0:
@@ -246,7 +248,6 @@ def run_simulation(
     workers: int = 1,
     eval_stream: int = STREAM_EVAL,
     cal_stream: int = STREAM_CALIBRATION,
-    n_cal: int = channel.DEFAULT_CALIBRATION_DRAWS,
 ) -> SimulationReport:
     """Calibrate, run all realizations, and fold statistics canonically.
 
@@ -273,7 +274,7 @@ def run_simulation(
             ctx = multiprocessing.get_context("fork")
             mapper = stack.enter_context(ProcessPoolExecutor(workers, mp_context=ctx)).map
         norm = channel.calibrate_normalization(
-            scenario, layout, n_cal, kind=cal_stream, mapper=mapper
+            scenario, layout, kind=cal_stream, mapper=mapper
         )
         args = [
             (scenario, layout, norm, s, min(s + BLOCK, total), eval_stream)

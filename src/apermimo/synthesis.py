@@ -23,7 +23,10 @@ import numpy as np
 from .arrays import ArrayLayout, regular_layout
 from .channel import STREAM_SYNTHESIS, STREAM_SYNTHESIS_CAL
 
-MIN_SEPARATION = 0.05  # wavelengths, floor on adjacent element spacing
+# wavelengths, floor on adjacent element spacing; it holds to a few ulp of
+# X_max, since fl(0.05) > 0.05 makes an exact floor impossible where
+# (m - 1) * 0.05 = X_max
+MIN_SEPARATION = 0.05
 DEFAULT_OVERSAMPLING = 8  # dense reference elements per wavelength
 DEFAULT_SYNTHESIS_REALIZATIONS = 100_000
 MIN_RECOMMENDED_REALIZATIONS = 10_000
@@ -65,58 +68,6 @@ class DensityProfile:
         return float(self.positions[-1])
 
 
-@dataclass(frozen=True)
-class CumulativeDistribution:
-    """Piecewise-quadratic cumulative i(x) of a piecewise-linear density.
-
-    Stores the density nodes, the exact cumulative at each node, and the
-    total mass I = i(X_max).
-    """
-
-    positions: np.ndarray
-    density: np.ndarray
-    cumulative: np.ndarray
-    total: float
-
-
-def cumulative_density(profile: DensityProfile) -> CumulativeDistribution:
-    """Exact cumulative integral of the piecewise-linear density."""
-    pos = profile.positions
-    val = profile.values
-    seg = 0.5 * (val[:-1] + val[1:]) * np.diff(pos)
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    total = float(cum[-1])
-    if total <= 0.0:
-        raise DegenerateProfileError("density integrates to zero")
-    return CumulativeDistribution(
-        positions=pos, density=val, cumulative=cum, total=total
-    )
-
-
-def invert_cumulative(cum: CumulativeDistribution, target: float) -> float:
-    """Smallest x with i(x) = target.
-
-    Solves the quadratic segment containing the target in closed form; on
-    flat (zero-density) plateaus the leftmost preimage is returned.
-    """
-    if not 0.0 <= target <= cum.total:
-        raise ValueError(
-            f"target {target} outside cumulative range [0, {cum.total}]"
-        )
-    nodes = cum.cumulative
-    j = int(np.searchsorted(nodes, target, side="left"))
-    if j == 0:
-        return float(cum.positions[0])
-    # segment (j-1, j] holds the target: nodes[j-1] < target <= nodes[j]
-    r = target - nodes[j - 1]
-    dx = cum.positions[j] - cum.positions[j - 1]
-    mu0 = cum.density[j - 1]
-    slope = (cum.density[j] - mu0) / dx
-    # leftmost root of (slope/2) t^2 + mu0 t = r, stable for slope of any sign
-    t = 2.0 * r / (mu0 + np.sqrt(mu0 * mu0 + 2.0 * slope * r))
-    return float(cum.positions[j - 1] + min(t, dx))
-
-
 def _pava_nondecreasing(z: np.ndarray) -> np.ndarray:
     """Least-squares projection onto nondecreasing sequences (pool adjacent violators)."""
     n = z.size
@@ -148,7 +99,10 @@ def _enforce_min_separation(positions: np.ndarray, x_max: float) -> np.ndarray:
     """Spread clustered elements apart to the minimum spacing.
 
     Endpoints stay pinned at 0 and x_max. The spread is the least-squares
-    monotone adjustment: clusters move symmetrically about their mean.
+    monotone adjustment: clusters move symmetrically about their mean. The
+    spread gaps come from adding i * MIN_SEPARATION in floating point, so
+    one can land a few ulp of x_max short of the floor (density 0 -> 1 on
+    [0, 1] at m = 12 gives 0.04999999999999993).
     """
     m = positions.size
     if m < 2 or np.all(np.diff(positions) >= MIN_SEPARATION):
@@ -179,20 +133,34 @@ def _enforce_min_separation(positions: np.ndarray, x_max: float) -> np.ndarray:
 def density_taper(profile: DensityProfile, m: int) -> ArrayLayout:
     """Place m elements so each adjacent pair encloses equal reference mass.
 
-    The first element sits at 0 and the last at X_max; interior elements
-    are the closed-form preimages of equally spaced cumulative targets.
+    The first element sits at 0 and the last at X_max; the m - 2 interior
+    elements are the closed-form preimages of equally spaced targets of the
+    cumulative, solved together. On a flat (zero-density) plateau the
+    leftmost preimage is taken.
     """
     if m < 2:
         raise ValueError(f"need at least 2 elements, got m={m}")
-    cum = cumulative_density(profile)
-    targets = np.arange(m) * cum.total / (m - 1)
-    positions = np.empty(m)
-    positions[0] = 0.0
-    for i in range(1, m - 1):
-        positions[i] = invert_cumulative(cum, targets[i])
+    pos, val = profile.positions, profile.values
+    # exact cumulative at the nodes: trapezoids of the piecewise-linear density
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (val[:-1] + val[1:]) * np.diff(pos))))
+    total = cum[-1]
+    if total <= 0.0:
+        raise DegenerateProfileError("density integrates to zero")
+    targets = (np.arange(m) * total / (m - 1))[1:-1]
+    # segment (j-1, j] holds each target: cum[j-1] < target <= cum[j], so
+    # r > 0; only a target of 0 (an underflowed total / (m - 1)) has j = 0,
+    # and it takes r = 0 in the first segment, whose start is its preimage
+    j = np.maximum(np.searchsorted(cum, targets, side="left"), 1)
+    r = targets - cum[j - 1]
+    dx = pos[j] - pos[j - 1]
+    mu0 = val[j - 1]
+    slope = (val[j] - mu0) / dx
+    # leftmost root of (slope/2) t^2 + mu0 t = r, stable for slope of any sign
+    t = np.divide(2.0 * r, mu0 + np.sqrt(mu0 * mu0 + 2.0 * slope * r),
+                  out=np.zeros_like(r), where=r > 0.0)
     # the leftmost-preimage rule would stop short of X_max on a trailing
     # zero plateau; the aperture endpoint is pinned instead
-    positions[-1] = profile.x_max
+    positions = np.concatenate(([0.0], pos[j - 1] + np.minimum(t, dx), [profile.x_max]))
     positions = _enforce_min_separation(positions, profile.x_max)
     return ArrayLayout(positions)
 

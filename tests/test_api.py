@@ -6,7 +6,6 @@ PUBLIC_NAMES = [
     "ArrayLayout",
     "COND_LIMIT",
     "ComparisonReport",
-    "CumulativeDistribution",
     "DensityProfile",
     "PowerProfile",
     "RESIDUAL_LIMIT",
@@ -17,10 +16,8 @@ PUBLIC_NAMES = [
     "SweepRow",
     "calibrate_normalization",
     "compare_layouts",
-    "cumulative_density",
     "density_taper",
     "huygens_gain",
-    "invert_cumulative",
     "power_spread",
     "psc",
     "read_layout_csv",

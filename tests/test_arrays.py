@@ -22,6 +22,13 @@ def test_regular_layout_two_elements():
     np.testing.assert_allclose(lay.positions, [0.0, 3.5])
 
 
+@pytest.mark.parametrize("aperture", [0.0, -1.0, np.nan, np.inf])
+def test_regular_layout_rejects_bad_aperture(aperture):
+    """A non-positive or non-finite aperture fails up front, without a warning."""
+    with pytest.raises(ValueError, match="aperture must be positive and finite"):
+        regular_layout(4, aperture)
+
+
 def test_layout_requires_origin_anchor():
     with pytest.raises(ValueError):
         ArrayLayout(positions=np.array([0.5, 1.0]))

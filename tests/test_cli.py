@@ -21,7 +21,6 @@ from apermimo.cli import (
     EXIT_RUNTIME,
     ConfigError,
     main,
-    parse_config,
 )
 from apermimo.engine import LINKS, ScenarioConfig, run_simulation
 
@@ -38,11 +37,16 @@ def _read(path):
     return path.read_bytes()
 
 
+def _parse_config(text):
+    """A validated scenario from key=value configuration text."""
+    return cli._build_scenario(cli.config_values(text))
+
+
 # ---------------------------------------------------------------- config
 
 
 def test_parse_config_basic():
-    sc = parse_config("M=8\nK=2\nwaves_per_ue=1")
+    sc = _parse_config("M=8\nK=2\nwaves_per_ue=1")
     assert sc.M == 8 and sc.K == 2 and sc.waves_per_ue == 1
     assert sc.aperture == 7.0
     assert sc.snr_db == 0.0
@@ -50,39 +54,39 @@ def test_parse_config_basic():
 
 
 def test_parse_config_comments_and_blanks():
-    sc = parse_config("# setup\nM=4\n\nK=2  # two users\nsnr_db=-3.0\n")
+    sc = _parse_config("# setup\nM=4\n\nK=2  # two users\nsnr_db=-3.0\n")
     assert sc.M == 4 and sc.K == 2
     assert sc.snr_db == pytest.approx(-3.0)
 
 
 def test_parse_config_too_many_users():
     with pytest.raises(ConfigError, match="M"):
-        parse_config("M=4\nK=8")
+        _parse_config("M=4\nK=8")
 
 
 def test_parse_config_waves_out_of_range():
     with pytest.raises(ConfigError, match="waves_per_ue"):
-        parse_config("M=8\nK=2\nwaves_per_ue=50")
+        _parse_config("M=8\nK=2\nwaves_per_ue=50")
 
 
 def test_parse_config_unknown_key():
     with pytest.raises(ConfigError, match="frequency"):
-        parse_config("M=8\nK=2\nfrequency=3.5")
+        _parse_config("M=8\nK=2\nfrequency=3.5")
 
 
 def test_parse_config_duplicate_key():
     with pytest.raises(ConfigError, match="duplicate"):
-        parse_config("M=8\nM=9\nK=2")
+        _parse_config("M=8\nM=9\nK=2")
 
 
 def test_parse_config_malformed_line():
     with pytest.raises(ConfigError, match="line 2"):
-        parse_config("M=8\njunk line\nK=2")
+        _parse_config("M=8\njunk line\nK=2")
 
 
 def test_parse_config_missing_required():
     with pytest.raises(ConfigError, match="K"):
-        parse_config("M=8")
+        _parse_config("M=8")
 
 
 # One valid scenario key set: M and K, plus any of the optional keys.
@@ -130,7 +134,7 @@ def test_negative_flag_values_parse(value):
 @settings(max_examples=200, deadline=None)
 @given(_key_sets())
 def test_config_text_and_flags_parse_alike(items):
-    from_text = parse_config(_config_text(items))
+    from_text = _parse_config(_config_text(items))
     assert from_text == _scenario_from_flags(items)
     assert from_text == ScenarioConfig(**dict(items))
 
@@ -141,7 +145,7 @@ def test_config_duplicate_key_is_rejected(items, data):
     key, value = data.draw(st.sampled_from(items))
     at = data.draw(st.integers(0, len(items)))
     with pytest.raises(ConfigError, match="duplicate key"):
-        parse_config(_config_text([*items[:at], (key, value), *items[at:]]))
+        _parse_config(_config_text([*items[:at], (key, value), *items[at:]]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,7 +155,7 @@ def test_config_unknown_key_is_rejected(items, key, data):
         return
     at = data.draw(st.integers(0, len(items)))
     with pytest.raises(ConfigError, match="unknown key"):
-        parse_config(_config_text([*items[:at], (key, "1"), *items[at:]]))
+        _parse_config(_config_text([*items[:at], (key, "1"), *items[at:]]))
 
 
 # -------------------------------------------------------------- simulate

@@ -48,6 +48,9 @@ def test_scenario_validation():
         ScenarioConfig(M=4, K=2, link="sideways")
     with pytest.raises(ValueError):
         ScenarioConfig(M=4, K=2, aperture=-1.0)
+    for aperture in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="aperture must be finite"):
+            ScenarioConfig(M=4, K=2, aperture=aperture)
     with pytest.raises(ValueError):
         ScenarioConfig(M=4, K=2, master_seed=-1)
     with pytest.raises(ValueError):

@@ -11,12 +11,10 @@ from apermimo.arrays import regular_layout
 from apermimo.engine import ScenarioConfig
 from apermimo.synthesis import (
     MIN_SEPARATION,
-    CumulativeDistribution,
     DegenerateProfileError,
     DensityProfile,
-    cumulative_density,
+    _enforce_min_separation,
     density_taper,
-    invert_cumulative,
     reference_profile,
     synthesize_aperiodic,
 )
@@ -32,15 +30,46 @@ def _ramp_profile(n=4_097):
     return DensityProfile(positions=x, values=x.copy())
 
 
-def _cumulative_at(cum: CumulativeDistribution, x):
+def _node_cumulative(profile: DensityProfile):
+    """Exact cumulative i(x) at the nodes: trapezoids of the piecewise-linear density."""
+    val = profile.values
+    seg = 0.5 * (val[:-1] + val[1:]) * np.diff(profile.positions)
+    return np.concatenate(([0.0], np.cumsum(seg)))
+
+
+def _cumulative_at(profile: DensityProfile, x):
     """i(x) for scalar or array x in [0, X_max]: the quadratic piece of the
     segment holding x, from the node cumulatives and the linear density."""
+    pos, val = profile.positions, profile.values
     x = np.asarray(x, dtype=float)
-    j = np.clip(np.searchsorted(cum.positions, x, side="right") - 1, 0, cum.positions.size - 2)
-    t = x - cum.positions[j]
-    mu0 = cum.density[j]
-    slope = (cum.density[j + 1] - mu0) / (cum.positions[j + 1] - cum.positions[j])
-    return cum.cumulative[j] + t * (mu0 + 0.5 * slope * t)
+    j = np.clip(np.searchsorted(pos, x, side="right") - 1, 0, pos.size - 2)
+    t = x - pos[j]
+    slope = (val[j + 1] - val[j]) / (pos[j + 1] - pos[j])
+    return _node_cumulative(profile)[j] + t * (val[j] + 0.5 * slope * t)
+
+
+def _scalar_taper_positions(profile: DensityProfile, m: int) -> np.ndarray:
+    """Element positions before spreading, one closed-form inversion per
+    element: the reference the batched taper must match bit for bit."""
+    pos, val = profile.positions, profile.values
+    nodes = _node_cumulative(profile)
+    total = float(nodes[-1])
+    targets = np.arange(m) * total / (m - 1)
+    out = np.empty(m)
+    out[0] = 0.0
+    for i in range(1, m - 1):
+        j = int(np.searchsorted(nodes, targets[i], side="left"))
+        if j == 0:
+            out[i] = float(pos[0])
+            continue
+        r = targets[i] - nodes[j - 1]
+        dx = pos[j] - pos[j - 1]
+        mu0 = val[j - 1]
+        slope = (val[j] - mu0) / dx
+        t = 2.0 * r / (mu0 + np.sqrt(mu0 * mu0 + 2.0 * slope * r))
+        out[i] = float(pos[j - 1] + min(t, dx))
+    out[-1] = profile.x_max
+    return out
 
 
 def _scan_invert(profile: DensityProfile, targets, n_scan=1_000_001):
@@ -68,16 +97,16 @@ def _scan_invert(profile: DensityProfile, targets, n_scan=1_000_001):
 
 
 def test_cumulative_of_uniform_density():
-    cum = cumulative_density(_uniform_profile())
-    assert cum.total == pytest.approx(7.0, abs=1e-12)
+    profile = _uniform_profile()
+    assert _node_cumulative(profile)[-1] == pytest.approx(7.0, abs=1e-12)
     for x in (0.0, 1.3, 3.5, 7.0):
-        assert _cumulative_at(cum, x) == pytest.approx(x, abs=1e-12)
+        assert _cumulative_at(profile, x) == pytest.approx(x, abs=1e-12)
 
 
 def test_cumulative_of_ramp_density():
-    cum = cumulative_density(_ramp_profile())
-    assert cum.total == pytest.approx(0.5, abs=1e-9)
-    assert _cumulative_at(cum, 0.6) == pytest.approx(0.18, abs=1e-9)
+    profile = _ramp_profile()
+    assert _node_cumulative(profile)[-1] == pytest.approx(0.5, abs=1e-9)
+    assert _cumulative_at(profile, 0.6) == pytest.approx(0.18, abs=1e-9)
 
 
 def test_cumulative_matches_fine_quadrature():
@@ -85,11 +114,10 @@ def test_cumulative_matches_fine_quadrature():
     x = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 7.0, 30)), [7.0]))
     v = rng.uniform(0.1, 2.0, x.size)
     profile = DensityProfile(positions=x, values=v)
-    cum = cumulative_density(profile)
     grid = np.linspace(0.0, 7.0, 1_000_001)
     mu = np.interp(grid, x, v)
     oracle = np.trapezoid(mu, grid)
-    assert cum.total == pytest.approx(oracle, rel=1e-8)
+    assert _node_cumulative(profile)[-1] == pytest.approx(oracle, rel=1e-8)
 
 
 def test_profile_validation():
@@ -107,47 +135,78 @@ def test_profile_validation():
 
 
 def test_invert_uniform_is_identity():
-    cum = cumulative_density(_uniform_profile())
-    assert invert_cumulative(cum, 3.5) == pytest.approx(3.5, abs=1e-12)
-    assert invert_cumulative(cum, 0.0) == 0.0
-    assert invert_cumulative(cum, 7.0) == pytest.approx(7.0, abs=1e-12)
+    pos = density_taper(_uniform_profile(), 15).positions  # element 7 at 3.5
+    assert pos[0] == 0.0
+    assert pos[-1] == 7.0
+    np.testing.assert_allclose(pos, 0.5 * np.arange(15), atol=1e-12)
 
 
 def test_invert_ramp_closed_form():
     # i(x) = x^2 / 2 with total 0.5, so the preimage of 0.25 is 1/sqrt(2)
-    cum = cumulative_density(_ramp_profile())
-    x = invert_cumulative(cum, 0.25)
+    x = density_taper(_ramp_profile(), 3).positions[1]
     assert x == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
 
 def test_invert_plateau_leftmost():
+    # half the mass lies left of the plateau [1, 2], so the middle of three
+    # elements sits at its left end, not its right
     profile = DensityProfile(
         positions=np.array([0.0, 1.0, 1.0 + 1e-9, 2.0, 2.0 + 1e-9, 3.0]),
         values=np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0]),
     )
-    cum = cumulative_density(profile)
-    assert invert_cumulative(cum, 1.0) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_invert_out_of_range():
-    cum = cumulative_density(_uniform_profile())
-    with pytest.raises(ValueError):
-        invert_cumulative(cum, -0.1)
-    with pytest.raises(ValueError):
-        invert_cumulative(cum, cum.total + 0.1)
+    assert density_taper(profile, 3).positions[1] == pytest.approx(1.0, abs=1e-6)
+    # a target exactly on the plateau's cumulative value
+    exact = DensityProfile(positions=np.arange(4.0), values=np.array([1.0, 0.0, 0.0, 1.0]))
+    assert density_taper(exact, 3).positions[1] == 1.0
 
 
 def test_invert_roundtrip_tolerance():
     rng = np.random.default_rng(24)
-    x = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 5.0, 40)), [5.0]))
+    # an aperture wide enough that 200 interior elements need no spreading
+    x = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 500.0, 40)), [500.0]))
     v = rng.uniform(0.0, 3.0, x.size)
     v[0] = 0.5
     profile = DensityProfile(positions=x, values=v)
-    cum = cumulative_density(profile)
-    for frac in rng.uniform(0.0, 1.0, 200):
-        target = frac * cum.total
-        pos = invert_cumulative(cum, target)
-        assert abs(float(_cumulative_at(cum, pos)) - target) <= 1e-10 * cum.total
+    m = 202
+    total = _node_cumulative(profile)[-1]
+    targets = np.arange(m) * total / (m - 1)
+    pos = density_taper(profile, m).positions
+    assert np.all(np.abs(_cumulative_at(profile, pos) - targets) <= 1e-10 * total)
+
+
+@st.composite
+def _profiles_and_sizes(draw, max_steps=40, max_m=60, dyadic=False):
+    """A density with zero plateaus and spikes, and an element count that fits.
+
+    ``dyadic`` draws steps and values from a few binary fractions instead,
+    so node cumulatives are exact and targets land on them, plateaus included.
+    """
+    step = st.sampled_from([0.25, 0.5, 1.0]) if dyadic else st.floats(1e-3, 2.0)
+    steps = draw(st.lists(step, min_size=1, max_size=max_steps))
+    positions = np.concatenate(([0.0], np.cumsum(steps)))
+    density = st.one_of(st.just(0.0),
+                        st.sampled_from([0.5, 1.0, 2.0]) if dyadic else st.floats(1e-3, 1e3))
+    values = draw(st.lists(density, min_size=positions.size, max_size=positions.size)
+                  .filter(lambda v: any(x > 0.0 for x in v)))
+    profile = DensityProfile(positions=positions, values=np.array(values))
+    fit = int(profile.x_max / MIN_SEPARATION) + 1  # (m - 1) * MIN_SEPARATION <= X_max
+    return profile, draw(st.integers(2, max(2, min(fit, max_m))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_profiles_and_sizes(max_steps=600, max_m=80),
+                 _profiles_and_sizes(max_steps=60, max_m=80, dyadic=True)))
+def test_taper_matches_scalar_inversion_bitwise(profile_and_m):
+    """The batched taper places every element exactly where one closed-form
+    inversion per element does, zero plateaus and spreading included."""
+    profile, m = profile_and_m
+    if (m - 1) * MIN_SEPARATION > profile.x_max:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the spreading notice
+        expected = _enforce_min_separation(_scalar_taper_positions(profile, m), profile.x_max)
+        got = density_taper(profile, m).positions
+    np.testing.assert_array_equal(got, expected)
 
 
 # ---------------------------------------------------------- density taper
@@ -205,11 +264,9 @@ def test_taper_equal_mass_between_elements():
     profile = DensityProfile(positions=x, values=v)
     m = 10
     layout = density_taper(profile, m)
-    cum = cumulative_density(profile)
-    masses = np.diff(_cumulative_at(cum, layout.positions))
-    np.testing.assert_allclose(
-        masses, cum.total / (m - 1), atol=1e-9 * cum.total
-    )
+    total = _node_cumulative(profile)[-1]
+    masses = np.diff(_cumulative_at(profile, layout.positions))
+    np.testing.assert_allclose(masses, total / (m - 1), atol=1e-9 * total)
 
 
 def test_taper_center_heavy_density_packs_center():
@@ -233,19 +290,6 @@ def test_taper_min_separation_enforced_with_warning():
     assert layout.positions[-1] == 7.0
 
 
-@st.composite
-def _profiles_and_sizes(draw):
-    """A density with zero plateaus and spikes, and an element count that fits."""
-    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=40))
-    positions = np.concatenate(([0.0], np.cumsum(steps)))
-    density = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
-    values = draw(st.lists(density, min_size=positions.size, max_size=positions.size)
-                  .filter(lambda v: any(x > 0.0 for x in v)))
-    profile = DensityProfile(positions=positions, values=np.array(values))
-    fit = int(profile.x_max / MIN_SEPARATION) + 1  # (m - 1) * MIN_SEPARATION <= X_max
-    return profile, draw(st.integers(2, max(2, min(fit, 60))))
-
-
 @settings(max_examples=300, deadline=None)
 @given(_profiles_and_sizes())
 def test_taper_spacing_properties(profile_and_m):
@@ -264,6 +308,14 @@ def test_taper_spacing_properties(profile_and_m):
     assert pos[0] == 0.0 and pos[-1] == profile.x_max
     assert np.all(np.diff(pos) > 0.0)
     assert np.diff(pos).min() >= MIN_SEPARATION - 4 * np.spacing(profile.x_max)
+
+
+def test_taper_underflowed_target_sits_at_origin():
+    # total = 5e-324, so the middle target total / 2 rounds to 0
+    profile = DensityProfile(positions=np.array([0.0, 1.0]), values=np.array([0.0, 1e-323]))
+    with pytest.warns(RuntimeWarning, match="spreading"):
+        pos = density_taper(profile, 3).positions
+    np.testing.assert_array_equal(pos, [0.0, MIN_SEPARATION, 1.0])  # spread from 0, 0, 1
 
 
 def test_taper_rejects_tiny_m():
