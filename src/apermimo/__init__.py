@@ -27,7 +27,6 @@ from .engine import (
     sweep,
 )
 from .metrics import (
-    PowerProfile,
     SinrCdf,
     StreamingMoments,
     power_spread,
@@ -38,7 +37,6 @@ from .synthesis import (
     DensityProfile,
     density_taper,
     reference_profile,
-    synthesize_aperiodic,
 )
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "COND_LIMIT",
     "ComparisonReport",
     "DensityProfile",
-    "PowerProfile",
     "RESIDUAL_LIMIT",
     "ScenarioConfig",
     "SimulationReport",
@@ -65,5 +62,4 @@ __all__ = [
     "run_simulation",
     "sinr_gain",
     "sweep",
-    "synthesize_aperiodic",
 ]

@@ -47,15 +47,14 @@ class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
 
 
-def _parse_int(name, low=1, high=None):
+def _parse_int(name, low=None):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise ConfigError(f"key '{name}': expected an integer, got {text!r}")
-        if value < low or (high is not None and value > high):
-            bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
-            raise ConfigError(f"key '{name}': must be {bound}, got {value}")
+        if low is not None and value < low:
+            raise ConfigError(f"key '{name}': must be at least {low}, got {value}")
         return value
 
     return parse
@@ -64,45 +63,37 @@ def _parse_int(name, low=1, high=None):
 def _parse_float(name):
     def parse(text: str) -> float:
         try:
-            value = float(text)
+            return float(text)
         except ValueError:
             raise ConfigError(f"key '{name}': expected a number, got {text!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"key '{name}': must be finite, got {text!r}")
-        return value
 
     return parse
 
 
-def _parse_link(text: str) -> str:
-    if text not in engine.LINKS:
-        raise ConfigError(f"key 'link': must be one of {engine.LINKS}, got {text!r}")
-    return text
-
-
 # key -> (flag, parser, help). The scenario keys are also the config-file
-# keys and the scenario's emitted fields, in this order.
+# keys and the scenario's emitted fields, in this order. Their parsers only
+# convert text; ScenarioConfig checks the ranges.
 _SCENARIO_KEYS = {
     "M": ("--M", _parse_int("M"), "base-station element count"),
     "K": ("--K", _parse_int("K"), "number of simultaneous users"),
-    "waves_per_ue": ("--waves-per-ue", _parse_int("waves_per_ue", 1, MAX_WAVES),
+    "waves_per_ue": ("--waves-per-ue", _parse_int("waves_per_ue"),
                      f"plane waves per user, 1..{MAX_WAVES}"),
     "aperture": ("--aperture", _parse_float("aperture"), "aperture in wavelengths"),
     "snr_db": ("--snr-db", _parse_float("snr_db"), "average per-user SNR in dB"),
     "realizations": ("--realizations", _parse_int("realizations"),
                      "Monte-Carlo repetitions"),
-    "master_seed": ("--seed", _parse_int("master_seed", 0, 2**64 - 1),
-                    "master seed (64-bit)"),
-    "link": ("--link", _parse_link, "link direction: uplink or downlink"),
+    "master_seed": ("--seed", _parse_int("master_seed"), "master seed (64-bit)"),
+    "link": ("--link", str, "link direction: uplink or downlink"),
 }
 # Synthesis keys are named after the engine's keyword arguments, whose
-# defaults apply when a flag is absent.
+# defaults apply when a flag is absent. No other code checks them before
+# work starts, so their parsers keep the lower bounds.
 _SYNTHESIS_KEYS = {
     "dense_oversampling": ("--oversampling", _parse_int("oversampling", 2),
                            "dense reference elements per wavelength (default "
                            f"{synthesis.DEFAULT_OVERSAMPLING})"),
     "synthesis_realizations": ("--synthesis-realizations",
-                               _parse_int("synthesis_realizations"),
+                               _parse_int("synthesis_realizations", 1),
                                "realizations for the dense reference run"),
 }
 
@@ -137,6 +128,21 @@ def _build_scenario(values: dict) -> ScenarioConfig:
         return ScenarioConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _read_layout(ns, scenario: ScenarioConfig):
+    """The --layout CSV, or None; refused unless it spans the scenario's aperture.
+
+    The tolerance admits a synthesized layout, whose last position
+    (n - 1) * a / (n - 1) can sit one ulp off a.
+    """
+    if not ns.layout:
+        return None
+    layout = read_layout_csv(ns.layout)
+    if abs(layout.aperture - scenario.aperture) > 1e-9 * scenario.aperture:
+        raise ConfigError(f"--layout: aperture {layout.aperture!r} differs from the "
+                          f"scenario's {scenario.aperture!r}")
+    return layout
 
 
 def _flag_values(ns, table) -> dict:
@@ -210,14 +216,14 @@ def _csv(header, *columns) -> str:
 def _simulation_outputs(report: engine.SimulationReport, suffix: str = ""):
     """Summary fields and files of one simulation (one half of a comparison)."""
     cdf = report.sinr_cdf
-    profile = report.power_profile
+    power = report.power
     summary = _record(report, _REPORT_FIELDS)
     summary["sinr_p05_db"] = _jnum(cdf.percentile(0.05))
     files = {
         f"cdf{suffix}.csv": _csv(("sinr_db", "cdf"), cdf.bin_centers, cdf.cdf),
         f"power{suffix}.csv": _csv(
             ("element_index", "position_lambda", "mu", "sigma2"),
-            range(profile.mu.size), report.layout.positions, profile.mu, profile.sigma2,
+            range(power.mean.size), report.layout.positions, power.mean, power.variance,
         ),
         f"layout{suffix}.csv": layout_csv_text(report.layout),
     }
@@ -283,7 +289,7 @@ def emit_reports(report, out_dir, elapsed: float = 0.0):
 
 def _cmd_simulate(ns):
     scenario = _build_scenario(_scenario_values(ns))
-    layout = read_layout_csv(ns.layout) if ns.layout else None
+    layout = _read_layout(ns, scenario)
     report = engine.run_simulation(scenario, layout, workers=ns.workers)
     return report, f"simulate: wrote results to {ns.out}"
 
@@ -312,7 +318,7 @@ def _cmd_synthesize(ns):
 def _cmd_compare(ns):
     scenario = _build_scenario(_scenario_values(ns))
     syn = _flag_values(ns, _SYNTHESIS_KEYS)
-    aperiodic = read_layout_csv(ns.layout) if ns.layout else None
+    aperiodic = _read_layout(ns, scenario)
     report = engine.compare_layouts(scenario, aperiodic, workers=ns.workers, **syn)
     return report, (
         f"compare: SINRG {report.sinrg_db:+.2f} dB, PSC {report.psc_db:+.2f} dB, "
@@ -330,18 +336,24 @@ def _parse_grid_list(text: str, kind, name: str):
     return items
 
 
+# a sweep sets each point's size from the grid flags and its aperture to M - 1
+_SWEEP_FIXED = {"M", "K", "aperture"}
+
+
 def _cmd_sweep(ns):
     values = _scenario_values(ns)
-    if "M" in values or "K" in values:
-        raise ConfigError("sweep takes sizes from --bs-counts/--crowdedness, not M/K")
+    fixed = sorted(values.keys() & _SWEEP_FIXED)
+    if fixed:
+        raise ConfigError(f"sweep sets {'/'.join(fixed)} per grid point (M and K from "
+                          "--bs-counts/--crowdedness, aperture M - 1)")
     bs_counts = _parse_grid_list(ns.bs_counts, int, "bs-counts")
     crowd = _parse_grid_list(ns.crowdedness, float, "crowdedness")
     for frac in crowd:
         if not 0.0 < frac <= 1.0:
             raise ConfigError(f"--crowdedness: fractions must be in (0, 1], got {frac}")
     syn = _flag_values(ns, _SYNTHESIS_KEYS)
-    # the header scenario is the first feasible grid point, with the
-    # user's aperture if one was given
+    # the header scenario is the first feasible grid point; like every
+    # point, it spans M - 1 wavelengths
     first = next(((m, k) for m, k, _, feasible in engine.sweep_grid(bs_counts, crowd)
                   if feasible), None)
     if first is None:
@@ -409,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text, func in _COMMANDS:
         sub[name] = cmd = subs.add_parser(name, help=help_text)
         cmd.set_defaults(func=func)
-        # a sweep takes its sizes from the grid flags
-        _add_flags(cmd, _SCENARIO_KEYS, skip=("M", "K") if name == "sweep" else ())
+        _add_flags(cmd, _SCENARIO_KEYS, skip=_SWEEP_FIXED if name == "sweep" else ())
         cmd.add_argument("--config", help="key=value configuration file")
         cmd.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
         cmd.add_argument("--out", required=True, help="output directory")

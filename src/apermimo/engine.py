@@ -28,7 +28,7 @@ from . import channel, metrics, synthesis
 from .arrays import ArrayLayout, regular_layout
 from .beamform import _zf_solve
 from .channel import STREAM_CALIBRATION, STREAM_EVAL
-from .metrics import PowerProfile, SinrCdf, StreamingMoments
+from .metrics import SinrCdf, StreamingMoments
 
 BLOCK = 4096  # accumulator granularity, fixed so worker count cannot matter
 REJECTION_BUDGET = 1e-3
@@ -115,14 +115,18 @@ def default_layout(scenario: ScenarioConfig) -> ArrayLayout:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Aggregated statistics of one (scenario, layout) run."""
+    """Aggregated statistics of one (scenario, layout) run.
+
+    ``power`` holds each element's mean and unbiased variance of the
+    excitation power beta |sum_k W[m, k]|^2 over the accepted draws.
+    """
 
     scenario: ScenarioConfig
     layout: ArrayLayout
     norm: float
     sinr_cdf: SinrCdf
     sum_rate: float
-    power_profile: PowerProfile
+    power: StreamingMoments
     power_spread_db: float
     accepted_count: int
     rejected_count: int
@@ -289,9 +293,8 @@ def run_simulation(
     rejected = stats.rejected
     accepted = total - rejected
     sum_rate = float(stats.rate.mean.sum()) if accepted else math.nan
-    profile = PowerProfile.from_moments(stats.power)
     if accepted >= 2:
-        ps_db = metrics.power_spread(profile)
+        ps_db = metrics.power_spread(stats.power.mean, stats.power.variance)
     else:
         ps_db = math.nan
     valid = rejected <= REJECTION_BUDGET * total
@@ -308,7 +311,7 @@ def run_simulation(
         norm=norm,
         sinr_cdf=stats.cdf,
         sum_rate=sum_rate,
-        power_profile=profile,
+        power=stats.power,
         power_spread_db=ps_db,
         accepted_count=accepted,
         rejected_count=rejected,
@@ -322,7 +325,7 @@ def compare_layouts(
     aperiodic: ArrayLayout = None,
     workers: int = 1,
     dense_oversampling: int = synthesis.DEFAULT_OVERSAMPLING,
-    synthesis_realizations: int = None,
+    synthesis_realizations: int = synthesis.DEFAULT_SYNTHESIS_REALIZATIONS,
 ) -> ComparisonReport:
     """Aperiodic versus regular array on the same scenario and random numbers.
 
@@ -331,15 +334,14 @@ def compare_layouts(
     numbers), which shrinks the variance of the difference estimates.
     """
     regular = default_layout(scenario)
-    if synthesis_realizations is None:
-        synthesis_realizations = synthesis.DEFAULT_SYNTHESIS_REALIZATIONS
     if aperiodic is None:
-        aperiodic = synthesis.synthesize_aperiodic(
+        profile = synthesis.reference_profile(
             scenario,
             dense_oversampling=dense_oversampling,
             realizations=synthesis_realizations,
             workers=workers,
         )
+        aperiodic = synthesis.density_taper(profile, scenario.M)
     rep_aper = run_simulation(scenario, aperiodic, workers=workers)
     rep_reg = run_simulation(scenario, regular, workers=workers)
     sinrg_db = metrics.sinr_gain(rep_aper.sinr_cdf, rep_reg.sinr_cdf)

@@ -15,7 +15,6 @@ array minus another, in dB, at 0 dB SNR) and the power spread compression
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,33 +93,6 @@ class StreamingMoments:
         return self._m2 / (self.count - 1)
 
 
-@dataclass(frozen=True)
-class PowerProfile:
-    """Per-element average excitation power and its variance.
-
-    mu[m] and sigma2[m] are the mean and unbiased variance of the power
-    samples |sum_k W[m, k]|^2 seen by element m across realizations.
-    """
-
-    mu: np.ndarray
-    sigma2: np.ndarray
-    count: int
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        sigma2 = np.asarray(self.sigma2, dtype=float)
-        if mu.ndim != 1 or mu.shape != sigma2.shape:
-            raise ValueError("mu and sigma2 must be 1-D vectors of equal length")
-        if np.any(mu < 0.0) or np.any(sigma2 < 0.0):
-            raise ValueError("power means and variances must be nonnegative")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma2", sigma2)
-
-    @classmethod
-    def from_moments(cls, acc: StreamingMoments) -> "PowerProfile":
-        return cls(mu=acc.mean.copy(), sigma2=acc.variance, count=acc.count)
-
-
 class SinrCdf:
     """Fixed-bin histogram of SINR samples in dB with percentile queries.
 
@@ -178,19 +150,16 @@ class SinrCdf:
         return float(CDF_MIN_DB + (idx + 0.5) * CDF_BIN_WIDTH_DB)
 
 
-def power_spread(profile: PowerProfile) -> float:
+def power_spread(mu, sigma2) -> float:
     """Power spread max(mu + sigma2) / min(mu - sigma2), in dB.
 
-    0 dB means ideal uniform, constant amplifier loading. When
+    mu and sigma2 are each element's mean and variance of excitation
+    power. 0 dB means ideal uniform, constant amplifier loading. When
     min(mu - sigma2) is nonpositive the ratio is undefined and +inf is
     returned with a warning (the profile is too spread for this figure).
     """
-    if profile.count < 2:
-        raise InvalidStateError(
-            f"power spread needs at least 2 samples, have {profile.count}"
-        )
-    hi = float(np.max(profile.mu + profile.sigma2))
-    lo = float(np.min(profile.mu - profile.sigma2))
+    hi = float(np.max(mu + sigma2))
+    lo = float(np.min(mu - sigma2))
     if lo <= 0.0:
         warnings.warn(
             "power spread degenerate: min(mu - sigma2) <= 0, returning +inf",

@@ -155,9 +155,11 @@ def density_taper(profile: DensityProfile, m: int) -> ArrayLayout:
     dx = pos[j] - pos[j - 1]
     mu0 = val[j - 1]
     slope = (val[j] - mu0) / dx
-    # leftmost root of (slope/2) t^2 + mu0 t = r, stable for slope of any sign
-    t = np.divide(2.0 * r, mu0 + np.sqrt(mu0 * mu0 + 2.0 * slope * r),
-                  out=np.zeros_like(r), where=r > 0.0)
+    # leftmost root of (slope/2) t^2 + mu0 t = r, stable for slope of any sign;
+    # a target on the node where a falling segment reaches 0 has a zero
+    # discriminant that round-off can push a few ulp negative
+    disc = np.maximum(mu0 * mu0 + 2.0 * slope * r, 0.0)
+    t = np.divide(2.0 * r, mu0 + np.sqrt(disc), out=np.zeros_like(r), where=r > 0.0)
     # the leftmost-preimage rule would stop short of X_max on a trailing
     # zero plateau; the aperture endpoint is pinned instead
     positions = np.concatenate(([0.0], pos[j - 1] + np.minimum(t, dx), [profile.x_max]))
@@ -202,19 +204,5 @@ def reference_profile(
         eval_stream=STREAM_SYNTHESIS,
         cal_stream=STREAM_SYNTHESIS_CAL,
     )
-    return DensityProfile(positions=dense.positions, values=report.power_profile.mu)
+    return DensityProfile(positions=dense.positions, values=report.power.mean)
 
-
-def synthesize_aperiodic(
-    scenario,
-    dense_oversampling: int = DEFAULT_OVERSAMPLING,
-    realizations: int = DEFAULT_SYNTHESIS_REALIZATIONS,
-    workers: int = 1,
-) -> ArrayLayout:
-    """Synthesize an aperiodic layout matched to the scenario's environment.
-
-    Dense reference simulation followed by a density taper of the
-    resulting average-power profile down to scenario.M elements.
-    """
-    profile = reference_profile(scenario, dense_oversampling, realizations, workers)
-    return density_taper(profile, scenario.M)

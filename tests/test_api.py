@@ -7,7 +7,6 @@ PUBLIC_NAMES = [
     "COND_LIMIT",
     "ComparisonReport",
     "DensityProfile",
-    "PowerProfile",
     "RESIDUAL_LIMIT",
     "ScenarioConfig",
     "SimulationReport",
@@ -26,7 +25,6 @@ PUBLIC_NAMES = [
     "run_simulation",
     "sinr_gain",
     "sweep",
-    "synthesize_aperiodic",
 ]
 
 

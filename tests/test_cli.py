@@ -319,7 +319,8 @@ def test_io_error_exit_code(tmp_path, capsys):
 
 
 def test_engine_error_exit_code(tmp_path, capsys):
-    layout = ArrayLayout(np.array([0.0, 1.0]))
+    # two elements where the scenario has four, on the scenario's aperture
+    layout = ArrayLayout(np.array([0.0, 3.0]))
     path = tmp_path / "two.csv"
     path.write_text(layout_csv_text(layout))
     code = _run(["simulate", "--M", "4", "--K", "2", "--realizations", "1500",
@@ -408,6 +409,41 @@ def test_synthesize_round_trip(tmp_path):
     assert summary["num_dense_elements"] == 7
 
 
+# ------------------------------------------------------------ layout files
+
+
+def _write_layout(tmp_path, positions):
+    path = tmp_path / "layout.csv"
+    path.write_text(layout_csv_text(ArrayLayout(np.array(positions))))
+    return path
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_layout_off_the_scenario_aperture_is_refused(tmp_path, capsys, command):
+    # a 10-wavelength layout against the 3-wavelength default of M=4
+    path = _write_layout(tmp_path, [0.0, 2.5, 7.0, 10.0])
+    code = _run([command, "--M", "4", "--K", "2", "--realizations", "1200",
+                 "--layout", str(path), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error:config-error" in err and "--layout" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_synthesized_layout_is_accepted_back(tmp_path, command):
+    # at 2.8 wavelengths and 2 elements per wavelength the dense reference
+    # ends at 6 * 2.8 / 6 = 2.7999999999999994, and so does the layout
+    scenario = ["--M", "4", "--K", "2", "--aperture", "2.8", "--realizations", "1200"]
+    syn = tmp_path / "syn"
+    assert _run(["synthesize", *scenario, "--oversampling", "2",
+                 "--synthesis-realizations", "1200", "--out", str(syn)]) == EXIT_OK
+    assert read_layout_csv(syn / "layout.csv").positions[-1] != 2.8
+    code = _run([command, *scenario, "--layout", str(syn / "layout.csv"),
+                 "--out", str(tmp_path / "x")])
+    assert code == EXIT_OK
+
+
 # ----------------------------------------------------------------- compare
 
 
@@ -480,6 +516,22 @@ def test_sweep_rejects_explicit_mk(tmp_path, capsys):
     assert "config-error" in capsys.readouterr().err
 
 
+def test_sweep_rejects_aperture(tmp_path, capsys):
+    # every sweep point spans M - 1 wavelengths: neither the flag nor the
+    # config key may set another aperture
+    grid = ["sweep", "--bs-counts", "4", "--crowdedness", "0.5"]
+    with pytest.raises(SystemExit) as exc:
+        _run(grid + ["--aperture", "7", "--out", str(tmp_path / "x")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--aperture" in capsys.readouterr().err
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("aperture=7\n")
+    code = _run(grid + ["--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "error:config-error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_sweep_validates_crowdedness(tmp_path):
     code = _run(["sweep", "--bs-counts", "4", "--crowdedness", "1.5",
                  "--out", str(tmp_path / "x")])
@@ -543,15 +595,15 @@ _GOLDEN_RUNS = {
             "summary.json": "4f74372b057b6c8d56357b3e072ed25d46c758f12c9ab016c9f0a27ff55a68b6",
         },
     ),
-    # the first grid point (M=2, 0.1) is infeasible and the aperture is
-    # explicit: the header scenario is (M=2, K=1) with the user's 7.0
+    # the first grid point (M=2, 0.1) is infeasible: the header scenario is
+    # (M=2, K=1), spanning M - 1 = 1 wavelength
     "sweep": (
-        ["sweep", "--bs-counts", "2,4,6", "--crowdedness", "0.1,0.5", "--aperture", "7",
+        ["sweep", "--bs-counts", "2,4,6", "--crowdedness", "0.1,0.5",
          "--oversampling", "2", "--synthesis-realizations", "1200",
          "--realizations", "1200", "--seed", "15"],
         {
-            "manifest.json": "405e0d44fbc85005661ed607ce922f5d9495392c7fe7b6a4ac9a55a3a876a462",
-            "summary.json": "bd13adddf5579e560b96dc414f573b4e6353e0fe47e9d2ead7c7ce6cd3757b2a",
+            "manifest.json": "c280dc6f34791a6350716553ef0f5fd77e9cb747e5bef5bd556889b61e39dc5c",
+            "summary.json": "05428e3df1db3bedfc67ef15089cf2ab4c7f35c2e568c61ea1c1daecb83fcad0",
             "sweep.csv": "0522eda6ff73d71d8fb2b28d5d3c673c9046dc91686e6e5ce7210a87689422be",
         },
     ),
@@ -578,7 +630,7 @@ def test_golden_output_bytes(tmp_path, run):
     assert _digests(out) == expected
     if run == "sweep":
         scenario = json.loads((out / "summary.json").read_text())["scenario"]
-        assert (scenario["M"], scenario["K"], scenario["aperture"]) == (2, 1, 7.0)
+        assert (scenario["M"], scenario["K"], scenario["aperture"]) == (2, 1, 1.0)
 
 
 def _print_golden_table():

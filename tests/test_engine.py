@@ -145,7 +145,7 @@ def test_report_matches_per_record_accumulation():
     assert report.accepted_count == len(accepted)
     manual = SinrCdf().push_db(10.0 * np.log10(sinr).ravel())
     np.testing.assert_array_equal(report.sinr_cdf.counts, manual.counts)
-    np.testing.assert_allclose(report.power_profile.mu, power.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(report.power.mean, power.mean(axis=0), rtol=1e-12)
     # sum rate: sum over users of the mean over draws of log2(1 + SINR)
     naive = sum(
         np.mean([math.log2(1.0 + s) for s in sinr[:, k]]) for k in range(sc.K)
@@ -171,10 +171,8 @@ def test_worker_count_does_not_change_report():
         rep2 = run_simulation(sc, layout, workers=2)
         assert rep1.norm == rep2.norm
         np.testing.assert_array_equal(rep1.sinr_cdf.counts, rep2.sinr_cdf.counts)
-        np.testing.assert_array_equal(rep1.power_profile.mu, rep2.power_profile.mu)
-        np.testing.assert_array_equal(
-            rep1.power_profile.sigma2, rep2.power_profile.sigma2
-        )
+        np.testing.assert_array_equal(rep1.power.mean, rep2.power.mean)
+        np.testing.assert_array_equal(rep1.power.variance, rep2.power.variance)
         assert rep1.sum_rate == rep2.sum_rate
         assert rep1.power_spread_db == rep2.power_spread_db
         assert rep1.rejected_count == rep2.rejected_count
@@ -186,7 +184,7 @@ def test_uplink_downlink_share_power_statistics():
     reciprocity, so the power profile is link-independent."""
     up = run_simulation(_small_scenario(link="uplink"))
     down = run_simulation(_small_scenario(link="downlink"))
-    np.testing.assert_allclose(up.power_profile.mu, down.power_profile.mu, rtol=1e-12)
+    np.testing.assert_allclose(up.power.mean, down.power.mean, rtol=1e-12)
 
 
 def test_report_residuals_within_gate():

@@ -13,7 +13,6 @@ from apermimo.metrics import (
     CDF_MAX_DB,
     CDF_MIN_DB,
     InvalidStateError,
-    PowerProfile,
     SinrCdf,
     StreamingMoments,
     power_spread,
@@ -64,10 +63,9 @@ def test_excitation_coherent_sum():
     w = np.linalg.pinv(h)
     beta = 1.0 / np.sum(np.abs(w) ** 2, axis=(1, 2))
     power = beta[:, None] * np.abs(w.sum(axis=2)) ** 2
-    prof = report.power_profile
-    assert prof.count == power.shape[0]
-    np.testing.assert_allclose(prof.mu, power.mean(axis=0), rtol=1e-9)
-    np.testing.assert_allclose(prof.sigma2, power.var(axis=0, ddof=1), rtol=1e-9)
+    assert report.power.count == power.shape[0]
+    np.testing.assert_allclose(report.power.mean, power.mean(axis=0), rtol=1e-9)
+    np.testing.assert_allclose(report.power.variance, power.var(axis=0, ddof=1), rtol=1e-9)
 
 
 def test_streaming_matches_two_pass_batch():
@@ -168,25 +166,25 @@ def test_moments_reject_bad_dims():
 
 
 def test_power_spread_uniform_is_zero_db():
-    prof = PowerProfile(mu=np.full(8, 0.37), sigma2=np.zeros(8), count=100)
-    assert power_spread(prof) == pytest.approx(0.0, abs=1e-12)
+    assert power_spread(np.full(8, 0.37), np.zeros(8)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_power_spread_factor_two():
-    prof = PowerProfile(mu=np.array([1.0, 2.0]), sigma2=np.zeros(2), count=10)
-    assert power_spread(prof) == pytest.approx(10.0 * math.log10(2.0), abs=1e-9)
+    ps = power_spread(np.array([1.0, 2.0]), np.zeros(2))
+    assert ps == pytest.approx(10.0 * math.log10(2.0), abs=1e-9)
 
 
 def test_power_spread_degenerate_is_infinite():
-    prof = PowerProfile(mu=np.array([1.0, 1.0]), sigma2=np.array([0.5, 2.0]), count=10)
     with pytest.warns(RuntimeWarning):
-        assert power_spread(prof) == math.inf
+        assert power_spread(np.array([1.0, 1.0]), np.array([0.5, 2.0])) == math.inf
 
 
-def test_power_spread_needs_samples():
-    prof = PowerProfile(mu=np.ones(2), sigma2=np.zeros(2), count=1)
-    with pytest.raises(InvalidStateError):
-        power_spread(prof)
+def test_power_spread_needs_two_accepted_draws():
+    """Below 2 accepted draws the variance is undefined and the run
+    reports the power spread as NaN."""
+    report = run_simulation(ScenarioConfig(M=4, K=2, realizations=1, master_seed=5))
+    assert report.accepted_count == report.power.count == 1
+    assert math.isnan(report.power_spread_db)
 
 
 def test_power_spread_nonnegative():
@@ -194,15 +192,8 @@ def test_power_spread_nonnegative():
     for _ in range(20):
         mu = rng.uniform(0.5, 2.0, size=6)
         s2 = rng.uniform(0.0, 0.1, size=6)
-        ps = power_spread(PowerProfile(mu=mu, sigma2=s2, count=9))
+        ps = power_spread(mu, s2)
         assert ps >= 0.0
-
-
-def test_power_profile_validation():
-    with pytest.raises(ValueError):
-        PowerProfile(mu=np.array([-1.0]), sigma2=np.array([0.0]), count=5)
-    with pytest.raises(ValueError):
-        PowerProfile(mu=np.ones(2), sigma2=np.ones(3), count=5)
 
 
 # --------------------------------------------------------------- sum rate

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apermimo.arrays import regular_layout
-from apermimo.engine import ScenarioConfig
+from apermimo.engine import ScenarioConfig, compare_layouts
 from apermimo.synthesis import (
     MIN_SEPARATION,
     DegenerateProfileError,
@@ -16,7 +16,6 @@ from apermimo.synthesis import (
     _enforce_min_separation,
     density_taper,
     reference_profile,
-    synthesize_aperiodic,
 )
 
 
@@ -66,7 +65,7 @@ def _scalar_taper_positions(profile: DensityProfile, m: int) -> np.ndarray:
         dx = pos[j] - pos[j - 1]
         mu0 = val[j - 1]
         slope = (val[j] - mu0) / dx
-        t = 2.0 * r / (mu0 + np.sqrt(mu0 * mu0 + 2.0 * slope * r))
+        t = 2.0 * r / (mu0 + np.sqrt(max(mu0 * mu0 + 2.0 * slope * r, 0.0)))
         out[i] = float(pos[j - 1] + min(t, dx))
     out[-1] = profile.x_max
     return out
@@ -318,6 +317,14 @@ def test_taper_underflowed_target_sits_at_origin():
     np.testing.assert_array_equal(pos, [0.0, MIN_SEPARATION, 1.0])  # spread from 0, 0, 1
 
 
+def test_taper_target_on_the_zero_of_a_falling_segment():
+    # the middle target is the cumulative at the 0-density node; there the
+    # discriminant of the falling first segment rounds to -2.1e-22
+    profile = DensityProfile(positions=np.array([0.0, 0.4375, 0.875]),
+                             values=np.array([0.001, 0.0, 0.001]))
+    np.testing.assert_array_equal(density_taper(profile, 3).positions, [0.0, 0.4375, 0.875])
+
+
 def test_taper_rejects_tiny_m():
     with pytest.raises(ValueError):
         density_taper(_uniform_profile(), 1)
@@ -368,9 +375,12 @@ def test_rich_multipath_synthesis_stays_regular(rimp_reference):
     assert np.max(np.abs(layout.positions - regular.positions)) <= 0.15
 
 
-def test_synthesize_aperiodic_wraps_taper():
-    sc = ScenarioConfig(M=4, K=1, waves_per_ue=2, realizations=50, master_seed=99)
-    layout = synthesize_aperiodic(sc, dense_oversampling=4, realizations=10_000)
+def test_compare_layouts_tapers_the_reference():
+    """compare_layouts synthesizes its aperiodic layout as the density taper
+    of the scenario's dense reference profile."""
+    sc = ScenarioConfig(M=4, K=1, waves_per_ue=2, realizations=1_000, master_seed=99)
+    layout = compare_layouts(sc, dense_oversampling=4,
+                             synthesis_realizations=10_000).aperiodic.layout
     profile = reference_profile(sc, dense_oversampling=4, realizations=10_000)
     expected = density_taper(profile, 4)
     np.testing.assert_array_equal(layout.positions, expected.positions)
