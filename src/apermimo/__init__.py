@@ -21,10 +21,8 @@ from .engine import (
     ComparisonReport,
     ScenarioConfig,
     SimulationReport,
-    SweepRow,
     compare_layouts,
     run_simulation,
-    sweep,
 )
 from .metrics import (
     SinrCdf,
@@ -49,7 +47,6 @@ __all__ = [
     "SimulationReport",
     "SinrCdf",
     "StreamingMoments",
-    "SweepRow",
     "calibrate_normalization",
     "compare_layouts",
     "density_taper",
@@ -61,5 +58,4 @@ __all__ = [
     "regular_layout",
     "run_simulation",
     "sinr_gain",
-    "sweep",
 ]

@@ -11,14 +11,16 @@ both argparse and the key=value config file (scenario keys only; flags
 win), so a value is validated the same way however it arrives.
 
 Out: each command returns its result, and one runner times it, writes it
-and prints one line. Field-name tuples (scenario, simulation report,
-comparison, sweep row) form the emission table: ``_record`` turns a record
-into JSON values and ``_csv`` writes columns, numbers at 9 significant
-digits, so a rerun reproduces every file byte for byte (layout CSVs keep
-full precision, to round-trip exactly). manifest.json lists each file's
-SHA-256 digest and is the only file with wall-clock timing.
+and prints one line. Field-name tuples form the emission table: the
+scenario, simulation report and comparison fields that ``_record`` turns
+into JSON values, and ``_ROW_FIELDS``, the order of each sweep row tuple.
+``_csv`` writes columns, numbers at 9 significant digits, so a rerun
+reproduces every file byte for byte (layout CSVs keep full precision, to
+round-trip exactly). manifest.json lists each file's SHA-256 digest and
+is the only file with wall-clock timing.
 
-Exit codes: 0 success, 2 configuration errors, 3 runtime or I/O errors,
+Exit codes: 0 success, 2 configuration errors (argparse's own and an
+unreadable or mismatched --layout among them), 3 runtime or I/O errors,
 each with a machine-readable ``error:<category>:`` prefix on stderr.
 """
 
@@ -29,6 +31,7 @@ import math
 import re
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,14 +134,21 @@ def _build_scenario(values: dict) -> ScenarioConfig:
 
 
 def _read_layout(ns, scenario: ScenarioConfig):
-    """The --layout CSV, or None; refused unless it spans the scenario's aperture.
+    """The --layout CSV, or None; refused unless it reads as a layout with the
+    scenario's element count and aperture.
 
     The tolerance admits a synthesized layout, whose last position
     (n - 1) * a / (n - 1) can sit one ulp off a.
     """
     if not ns.layout:
         return None
-    layout = read_layout_csv(ns.layout)
+    try:
+        layout = read_layout_csv(ns.layout)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--layout: {exc}") from None
+    if len(layout) != scenario.M:
+        raise ConfigError(f"--layout: {len(layout)} elements where the scenario "
+                          f"has M={scenario.M}")
     if abs(layout.aperture - scenario.aperture) > 1e-9 * scenario.aperture:
         raise ConfigError(f"--layout: aperture {layout.aperture!r} differs from the "
                           f"scenario's {scenario.aperture!r}")
@@ -351,19 +361,31 @@ def _cmd_sweep(ns):
     for frac in crowd:
         if not 0.0 < frac <= 1.0:
             raise ConfigError(f"--crowdedness: fractions must be in (0, 1], got {frac}")
-    syn = _flag_values(ns, _SYNTHESIS_KEYS)
-    # the header scenario is the first feasible grid point; like every
-    # point, it spans M - 1 wavelengths
-    first = next(((m, k) for m, k, _, feasible in engine.sweep_grid(bs_counts, crowd)
-                  if feasible), None)
-    if first is None:
+    # every point's scenario (K = round(fraction * M), aperture M - 1) is
+    # validated before the first draw; the first one heads the outputs
+    points = []
+    for m in bs_counts:
+        for frac in crowd:
+            k = int(round(frac * m))
+            if k < 1:
+                warnings.warn(f"skipping infeasible sweep point M={m}, crowdedness={frac} "
+                              f"(K={k})", RuntimeWarning, stacklevel=2)
+                continue
+            points.append((frac, _build_scenario({**values, "M": m, "K": k})))
+    if not points:
         raise ConfigError("no feasible (M, K) grid point in the sweep")
-    base = _build_scenario({**values, "M": first[0], "K": first[1]})
-    rows = engine.sweep(base, bs_counts, crowd, workers=ns.workers, **syn)
+    # the dense reference reuses the points' realization count unless one is given
+    syn = {"synthesis_realizations": points[0][1].realizations,
+           **_flag_values(ns, _SYNTHESIS_KEYS)}
+    rows = []
+    for frac, scenario in points:
+        comp = engine.compare_layouts(scenario, workers=ns.workers, **syn)
+        rows.append((scenario.M, scenario.K, frac, comp.sinrg_db, comp.psc_db,
+                     comp.sr_gain_fraction, comp.aperiodic.valid and comp.regular.valid))
     summary = {"bs_counts": bs_counts, "crowdedness": [_jnum(f) for f in crowd],
-               "rows": [_record(r, _ROW_FIELDS) for r in rows]}
-    files = {"sweep.csv": _csv(_ROW_FIELDS, *([getattr(r, f) for r in rows] for f in _ROW_FIELDS))}
-    return (base, summary, files), f"sweep: wrote {len(rows)} grid points to {ns.out}"
+               "rows": [dict(zip(_ROW_FIELDS, map(_jnum, row))) for row in rows]}
+    files = {"sweep.csv": _csv(_ROW_FIELDS, *zip(*rows))}
+    return (points[0][1], summary, files), f"sweep: wrote {len(rows)} grid points to {ns.out}"
 
 
 def _execute(ns) -> int:
@@ -390,7 +412,8 @@ def _add_flags(sub, table, skip=()):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that takes any negative float literal as a value.
+    """An ArgumentParser that takes any negative float literal as a value and
+    reports its own errors (unknown flag, missing argument) as ConfigError.
 
     argparse reads only ``-3`` and ``-3.5`` as negative numbers, so
     ``--snr-db -1e-05`` would fail with "expected one argument".
@@ -400,6 +423,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 _COMMANDS = (
@@ -438,10 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
-        return _execute(ns)
+        return _execute(build_parser().parse_args(argv))
     except ConfigError as exc:
         print(f"error:config-error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,7 +16,6 @@ rejected and counted; a report whose rejection rate exceeds the budget
 """
 
 import contextlib
-import dataclasses
 import math
 import multiprocessing
 import warnings
@@ -43,11 +42,12 @@ LINKS = ("uplink", "downlink")
 class ScenarioConfig:
     """One (array size, user count, environment, link) simulation setup.
 
-    M: base-station element count; K: simultaneous single-antenna users
-    (K <= M); waves_per_ue: plane waves per user, 1 (random line of
-    sight) through 20 (rich multipath); aperture in wavelengths, default
-    (M - 1); snr_db: average per-user SNR; link: which SINR definition
-    the run evaluates. master_seed fully determines all randomness.
+    M: base-station element count, at least 2; K: simultaneous
+    single-antenna users (K <= M); waves_per_ue: plane waves per user, 1
+    (random line of sight) through 20 (rich multipath); aperture in
+    wavelengths, default (M - 1); snr_db: average per-user SNR; link:
+    which SINR definition the run evaluates. master_seed fully determines
+    all randomness.
     """
 
     M: int
@@ -65,6 +65,8 @@ class ScenarioConfig:
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if self.M < 2:
+            raise ValueError(f"an array needs at least 2 elements, got M={self.M}")
         if self.K < 1:
             raise ValueError(f"K must be at least 1, got K={self.K}")
         if self.M < self.K:
@@ -92,10 +94,8 @@ class ScenarioConfig:
             object.__setattr__(self, "aperture", float(self.aperture))
         if not math.isfinite(self.aperture):
             raise ValueError(f"aperture must be finite, got {self.aperture}")
-        if self.M > 1 and self.aperture <= 0.0:
+        if self.aperture <= 0.0:
             raise ValueError(f"aperture must be positive, got {self.aperture}")
-        if self.M == 1 and self.aperture != 0.0:
-            raise ValueError("a single-element array has zero aperture")
         object.__setattr__(self, "snr_db", float(self.snr_db))
         if not np.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
@@ -108,8 +108,6 @@ class ScenarioConfig:
 
 def default_layout(scenario: ScenarioConfig) -> ArrayLayout:
     """The regular (equispaced) layout for the scenario's M and aperture."""
-    if scenario.M == 1:
-        return ArrayLayout(np.zeros(1))
     return regular_layout(scenario.M, scenario.aperture)
 
 
@@ -144,17 +142,6 @@ class ComparisonReport:
     sr_gain_fraction: float
     aperiodic: SimulationReport
     regular: SimulationReport
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    M: int
-    K: int
-    crowdedness: float
-    sinrg_db: float
-    psc_db: float
-    sr_gain_fraction: float
-    valid: bool
 
 
 def _simulate_block(scenario, layout, norm, start, stop, eval_stream):
@@ -358,52 +345,3 @@ def compare_layouts(
         aperiodic=rep_aper,
         regular=rep_reg,
     )
-
-
-def sweep_grid(bs_counts, crowdedness):
-    """(M, K, fraction, feasible) of every sweep grid point, in row order.
-
-    K = round(fraction * M); a point is feasible when 1 <= K <= M.
-    """
-    grid = [(int(m), int(round(f * m)), float(f)) for m in bs_counts for f in crowdedness]
-    return [(m, k, f, 1 <= k <= m) for m, k, f in grid]
-
-
-def sweep(
-    base_scenario: ScenarioConfig,
-    bs_counts,
-    crowdedness,
-    workers: int = 1,
-    dense_oversampling: int = synthesis.DEFAULT_OVERSAMPLING,
-    synthesis_realizations: int = None,
-):
-    """Comparison grid over array sizes and user crowdedness fractions.
-
-    Each grid point runs base_scenario with M set to the element count,
-    K = round(fraction * M), and aperture (M - 1); the aperiodic layout is
-    re-synthesized per point so it stays matched to its own (M, K). By
-    default the synthesis reuses the per-point realization count.
-    Infeasible points (K < 1 or K > M) are skipped with a notice.
-    """
-    if synthesis_realizations is None:
-        synthesis_realizations = base_scenario.realizations
-    rows = []
-    for m, k, frac, feasible in sweep_grid(bs_counts, crowdedness):
-        if not feasible:
-            warnings.warn(
-                f"skipping infeasible sweep point M={m}, crowdedness={frac} (K={k})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        scenario = dataclasses.replace(base_scenario, M=m, K=k, aperture=float(m - 1))
-        comp = compare_layouts(
-            scenario,
-            workers=workers,
-            dense_oversampling=dense_oversampling,
-            synthesis_realizations=synthesis_realizations,
-        )
-        rows.append(SweepRow(M=m, K=k, crowdedness=frac, sinrg_db=comp.sinrg_db,
-                             psc_db=comp.psc_db, sr_gain_fraction=comp.sr_gain_fraction,
-                             valid=comp.aperiodic.valid and comp.regular.valid))
-    return rows

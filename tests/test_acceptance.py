@@ -90,13 +90,18 @@ def compare_16x8():
 
 @pytest.fixture(scope="module")
 def sweep_rows():
-    base = ScenarioConfig(
-        M=16, K=2, waves_per_ue=1, realizations=SWEEP_REALIZATIONS, master_seed=SEED
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rows = engine.sweep(base, bs_counts=(16, 32, 64), crowdedness=(0.10, 0.25, 0.30))
-    return {(r.M, r.crowdedness): r for r in rows}
+    """The CLI sweep's grid: K = round(fraction * M), aperture M - 1, and a
+    dense reference with the points' own realization count."""
+    rows = {}
+    for m in (16, 32, 64):
+        for c in (0.10, 0.25, 0.30):
+            scenario = ScenarioConfig(
+                M=m, K=int(round(c * m)), waves_per_ue=1,
+                realizations=SWEEP_REALIZATIONS, master_seed=SEED,
+            )
+            rows[(m, c)] = _compare(scenario=scenario,
+                                    synthesis_realizations=SWEEP_REALIZATIONS)
+    return rows
 
 
 def _percentile_ci(cdf: SinrCdf, p: float, z: float = 1.96):

@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "SimulationReport",
     "SinrCdf",
     "StreamingMoments",
-    "SweepRow",
     "calibrate_normalization",
     "compare_layouts",
     "density_taper",
@@ -24,7 +23,6 @@ PUBLIC_NAMES = [
     "regular_layout",
     "run_simulation",
     "sinr_gain",
-    "sweep",
 ]
 
 

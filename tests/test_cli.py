@@ -319,14 +319,46 @@ def test_io_error_exit_code(tmp_path, capsys):
 
 
 def test_engine_error_exit_code(tmp_path, capsys):
-    # two elements where the scenario has four, on the scenario's aperture
-    layout = ArrayLayout(np.array([0.0, 3.0]))
-    path = tmp_path / "two.csv"
-    path.write_text(layout_csv_text(layout))
-    code = _run(["simulate", "--M", "4", "--K", "2", "--realizations", "1500",
+    # a valid layout, but 400 draws of 2 users are too few samples for a gain
+    path = tmp_path / "four.csv"
+    path.write_text(layout_csv_text(ArrayLayout(np.array([0.0, 0.9, 2.2, 3.0]))))
+    code = _run(["compare", "--M", "4", "--K", "2", "--realizations", "400",
                  "--layout", str(path), "--out", str(tmp_path / "x")])
     assert code == EXIT_RUNTIME
-    assert "engine-error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:engine-error: aperiodic CDF has 800 samples, need at least 1000" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--M", "4", "--K", "2", "--bogus", "1", "--out", "x"], "--bogus"),
+    (["simulate", "--M", "4", "--K", "2", "--workers", "two", "--out", "x"], "--workers"),
+    (["sweep", "--crowdedness", "0.5", "--out", "x"], "--bs-counts"),
+    (["simulate", "--M", "4", "--K", "2"], "--out"),
+    ([], "command"),
+], ids=["unknown-flag", "bad-workers", "missing-bs-counts", "missing-out", "no-command"])
+def test_argparse_errors_are_config_errors(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:config-error: ") and named in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["sweep", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_single_element_array_is_config_error(tmp_path, capsys, command):
+    code = _run([command, "--M", "1", "--K", "1", "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "error:config-error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # A worker that dies mid-run: ``target`` (module, attribute) is replaced by
@@ -431,6 +463,33 @@ def test_layout_off_the_scenario_aperture_is_refused(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_layout_with_the_wrong_element_count_is_refused(tmp_path, capsys, command):
+    # two elements on the scenario's 3-wavelength aperture, where M=4
+    path = _write_layout(tmp_path, [0.0, 3.0])
+    code = _run([command, "--M", "4", "--K", "2", "--realizations", "1200",
+                 "--layout", str(path), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error:config-error" in err and "2 elements" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text", [None, "position_lambda\n0.0\nthree\n", "x\n0.0\n",
+                                  "position_lambda\n", "position_lambda\n0.0\n2.0\n1.0\n"],
+                         ids=["missing", "bad-number", "bad-header", "empty", "unsorted"])
+def test_unreadable_layout_is_config_error(tmp_path, capsys, text):
+    # simulate and compare read --layout through the same helper
+    path = tmp_path / "layout.csv"
+    if text is not None:
+        path.write_text(text)
+    code = _run(["simulate", "--M", "4", "--K", "2", "--realizations", "1200",
+                 "--layout", str(path), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "error:config-error: --layout" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_synthesized_layout_is_accepted_back(tmp_path, command):
     # at 2.8 wavelengths and 2 elements per wavelength the dense reference
     # ends at 6 * 2.8 / 6 = 2.7999999999999994, and so does the layout
@@ -520,10 +579,10 @@ def test_sweep_rejects_aperture(tmp_path, capsys):
     # every sweep point spans M - 1 wavelengths: neither the flag nor the
     # config key may set another aperture
     grid = ["sweep", "--bs-counts", "4", "--crowdedness", "0.5"]
-    with pytest.raises(SystemExit) as exc:
-        _run(grid + ["--aperture", "7", "--out", str(tmp_path / "x")])
-    assert exc.value.code == EXIT_CONFIG
-    assert "--aperture" in capsys.readouterr().err
+    code = _run(grid + ["--aperture", "7", "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error:config-error" in err and "--aperture" in err
     cfg = tmp_path / "wide.cfg"
     cfg.write_text("aperture=7\n")
     code = _run(grid + ["--config", str(cfg), "--out", str(tmp_path / "x")])
@@ -536,6 +595,46 @@ def test_sweep_validates_crowdedness(tmp_path):
     code = _run(["sweep", "--bs-counts", "4", "--crowdedness", "1.5",
                  "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
+
+
+_SMALL_SWEEP = ["--realizations", "1200", "--synthesis-realizations", "1200",
+                "--oversampling", "2", "--seed", "3"]
+
+
+def test_sweep_skips_infeasible_points(tmp_path):
+    out = tmp_path / "swp"
+    with pytest.warns(RuntimeWarning, match=r"skipping infeasible sweep point M=4, "
+                      r"crowdedness=0\.01 \(K=0\)"), \
+            pytest.warns(RuntimeWarning, match="recommended"):
+        code = main(["sweep", "--bs-counts", "4", "--crowdedness", "0.01,0.5",
+                     *_SMALL_SWEEP, "--out", str(out)])
+    assert code == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert [(r["M"], r["K"], r["crowdedness"]) for r in summary["rows"]] == [(4, 2, 0.5)]
+    assert (summary["scenario"]["M"], summary["scenario"]["K"]) == (4, 2)
+
+
+def test_sweep_sets_k_by_rounding(tmp_path):
+    out = tmp_path / "swp"
+    code = _run(["sweep", "--bs-counts", "8,16", "--crowdedness", "0.3",
+                 *_SMALL_SWEEP, "--out", str(out)])
+    assert code == EXIT_OK
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["8", "2", "0.3"], ["16", "5", "0.3"]]
+
+
+def test_sweep_builds_every_point_before_the_first_draw(tmp_path, capsys, monkeypatch):
+    # M=1 at crowdedness 1.0 is K=1 on a single element: refused up front,
+    # before the M=4 point runs
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a sweep point ran before the grid was validated")
+
+    monkeypatch.setattr(cli.engine, "compare_layouts", no_draws)
+    code = _run(["sweep", "--bs-counts", "4,1", "--crowdedness", "1.0",
+                 "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "error:config-error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # ------------------------------------------------------------ golden bytes

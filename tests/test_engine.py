@@ -11,13 +11,11 @@ from apermimo.engine import (
     BLOCK,
     ComparisonReport,
     ScenarioConfig,
-    SweepRow,
     _block_stats,
     _simulate_block,
     compare_layouts,
     default_layout,
     run_simulation,
-    sweep,
 )
 from apermimo.metrics import SinrCdf
 
@@ -36,6 +34,8 @@ def _small_scenario(**overrides):
 def test_scenario_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(M=2, K=0)
+    with pytest.raises(ValueError, match="at least 2 elements"):
+        ScenarioConfig(M=1, K=1)
     with pytest.raises(ValueError):
         ScenarioConfig(M=2, K=3)
     with pytest.raises(ValueError):
@@ -227,28 +227,12 @@ def test_compare_layout_against_itself_is_null():
     )
 
 
-def test_sweep_skips_infeasible_points():
-    sc = _small_scenario(realizations=1_500)
-    with pytest.warns(RuntimeWarning, match="infeasible"), \
-            pytest.warns(RuntimeWarning, match="recommended"):
-        rows = sweep(sc, bs_counts=[4], crowdedness=[0.01, 0.5], workers=1,
-                     dense_oversampling=2, synthesis_realizations=1_500)
-    assert len(rows) == 1
-    row = rows[0]
-    assert isinstance(row, SweepRow)
-    assert row.M == 4 and row.K == 2
-    assert row.crowdedness == 0.5
-    assert math.isfinite(row.sinrg_db)
-
-
 def test_zero_synthesis_realizations_is_not_the_default():
     # 0 used to fall through an ``or`` to the 100 000-draw default
     sc = _small_scenario(M=4, K=2, realizations=1_200)
-    for run in (lambda: compare_layouts(sc, dense_oversampling=2, synthesis_realizations=0),
-                lambda: sweep(sc, [4], [0.5], dense_oversampling=2, synthesis_realizations=0)):
-        with pytest.warns(RuntimeWarning, match="recommended"), \
-                pytest.raises(ValueError, match="realizations"):
-            run()
+    with pytest.warns(RuntimeWarning, match="recommended"), \
+            pytest.raises(ValueError, match="realizations"):
+        compare_layouts(sc, dense_oversampling=2, synthesis_realizations=0)
 
 
 def test_block_stats_merge_folds_every_field():
@@ -265,11 +249,3 @@ def test_block_stats_merge_folds_every_field():
     np.testing.assert_allclose(halves.power.mean, whole.power.mean, rtol=1e-12)
     np.testing.assert_allclose(halves.power.variance, whole.power.variance, rtol=1e-10)
 
-
-def test_sweep_sets_k_by_rounding():
-    sc = _small_scenario(realizations=1_200)
-    with pytest.warns(RuntimeWarning, match="recommended"):
-        rows = sweep(sc, bs_counts=[8], crowdedness=[0.25], workers=1,
-                     dense_oversampling=2, synthesis_realizations=1_200)
-    assert rows[0].K == 2
-    assert rows[0].M == 8
