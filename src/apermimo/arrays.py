@@ -10,7 +10,7 @@ LAYOUT_CSV_HEADER = "position_lambda"
 
 @dataclass(frozen=True)
 class ArrayLayout:
-    """Element positions of a linear array, in wavelengths.
+    """Element positions of a linear array of at least 2 elements, in wavelengths.
 
     Positions are anchored at the origin (first element at 0) and strictly
     ascending; the aperture is the span between the outermost elements.
@@ -20,14 +20,14 @@ class ArrayLayout:
     positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.atleast_1d(np.asarray(self.positions, dtype=float)).copy()
-        if pos.ndim != 1 or pos.size < 1:
-            raise ValueError("positions must be a non-empty 1-D sequence")
+        pos = np.asarray(self.positions, dtype=float).copy()
+        if pos.ndim != 1 or pos.size < 2:
+            raise ValueError("positions must be a 1-D sequence of at least 2 elements")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         if pos[0] != 0.0:
             raise ValueError("first element must sit at the origin")
-        if pos.size > 1 and not np.all(np.diff(pos) > 0.0):
+        if not np.all(np.diff(pos) > 0.0):
             raise ValueError("positions must be strictly ascending")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)

@@ -90,10 +90,10 @@ def sample_wave_blocks(master_seed, kind, indices, num_users, num_waves):
 
 
 def _sum_grid(positions):
-    """(origin, spacing, B) of an equispaced layout, else None; see :func:`wave_field`."""
+    """(origin, spacing, B) of an equispaced layout (M >= 2), else None; see :func:`wave_field`."""
     m = positions.size
     b = int(np.ceil(np.sqrt(m)))
-    step = (positions[-1] - positions[0]) / max(m - 1, 1)
+    step = (positions[-1] - positions[0]) / (m - 1)
     coarse = positions[0] + np.arange(-(-m // b)) * (b * step)
     error = np.abs((coarse[:, None] + np.arange(b) * step).ravel()[:m] - positions).max()
     tol = 4.0 * np.finfo(float).eps * np.abs(positions).max()
@@ -165,7 +165,7 @@ def _sub_batch(k: int, l: int, m: int) -> int:
     Caps the (sub, K, L, M) phasor tensor of non-regular layouts, and the
     (sub, K, M) field, near 64 MB; every caller chunks by this one rule.
     """
-    return max(32, min(4096, (1 << 22) // max(1, k * l * m)))
+    return max(32, min(4096, (1 << 22) // (k * l * m)))
 
 
 def _calibration_chunk(args):

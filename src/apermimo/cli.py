@@ -4,7 +4,8 @@ Four subcommands drive the engine: ``simulate`` runs one layout,
 ``synthesize`` emits an aperiodic layout plus its dense reference power
 profile, ``compare`` evaluates aperiodic versus regular on common random
 numbers, and ``sweep`` grids a comparison over array sizes and user
-crowdedness.
+crowdedness. ``_synthesize`` tapers the dense reference profile for all
+three; ``engine.compare_layouts`` only compares the layouts it is given.
 
 In: one key table gives each key its flag, parser and help, and drives
 both argparse and the key=value config file (scenario keys only; flags
@@ -88,8 +89,8 @@ _SCENARIO_KEYS = {
     "master_seed": ("--seed", _parse_int("master_seed"), "master seed (64-bit)"),
     "link": ("--link", str, "link direction: uplink or downlink"),
 }
-# Synthesis keys are named after the engine's keyword arguments, whose
-# defaults apply when a flag is absent. No other code checks them before
+# Synthesis keys are also the synthesize summary's fields; _synthesis_settings
+# puts the given flags over the defaults. No other code checks them before
 # work starts, so their parsers keep the lower bounds.
 _SYNTHESIS_KEYS = {
     "dense_oversampling": ("--oversampling", _parse_int("oversampling", 2),
@@ -304,20 +305,25 @@ def _cmd_simulate(ns):
     return report, f"simulate: wrote results to {ns.out}"
 
 
+def _synthesis_settings(ns, realizations=synthesis.DEFAULT_SYNTHESIS_REALIZATIONS):
+    """The synthesis flags over their defaults (``realizations`` reference draws)."""
+    return {"dense_oversampling": synthesis.DEFAULT_OVERSAMPLING,
+            "synthesis_realizations": realizations, **_flag_values(ns, _SYNTHESIS_KEYS)}
+
+
+def _synthesize(scenario, settings, workers):
+    """The scenario's dense reference profile and its density taper to M elements."""
+    profile = synthesis.reference_profile(scenario, settings["dense_oversampling"],
+                                          settings["synthesis_realizations"], workers)
+    return profile, synthesis.density_taper(profile, scenario.M)
+
+
 def _cmd_synthesize(ns):
     scenario = _build_scenario(_scenario_values(ns))
-    syn = _flag_values(ns, _SYNTHESIS_KEYS)
-    oversampling = syn.get("dense_oversampling", synthesis.DEFAULT_OVERSAMPLING)
-    realizations = syn.get("synthesis_realizations", synthesis.DEFAULT_SYNTHESIS_REALIZATIONS)
-    profile = synthesis.reference_profile(scenario, dense_oversampling=oversampling,
-                                          realizations=realizations, workers=ns.workers)
-    layout = synthesis.density_taper(profile, scenario.M)
-    summary = {
-        "dense_oversampling": oversampling,
-        "synthesis_realizations": realizations,
-        "num_dense_elements": int(profile.positions.size),
-        "min_spacing_lambda": _jnum(np.diff(layout.positions).min()),
-    }
+    settings = _synthesis_settings(ns)
+    profile, layout = _synthesize(scenario, settings, ns.workers)
+    summary = {**settings, "num_dense_elements": int(profile.positions.size),
+               "min_spacing_lambda": _jnum(np.diff(layout.positions).min())}
     files = {
         "layout.csv": layout_csv_text(layout),
         "mu_profile.csv": _csv(("position_lambda", "mu"), profile.positions, profile.values),
@@ -327,9 +333,11 @@ def _cmd_synthesize(ns):
 
 def _cmd_compare(ns):
     scenario = _build_scenario(_scenario_values(ns))
-    syn = _flag_values(ns, _SYNTHESIS_KEYS)
+    settings = _synthesis_settings(ns)  # checked even when --layout makes it unused
     aperiodic = _read_layout(ns, scenario)
-    report = engine.compare_layouts(scenario, aperiodic, workers=ns.workers, **syn)
+    if aperiodic is None:
+        aperiodic = _synthesize(scenario, settings, ns.workers)[1]
+    report = engine.compare_layouts(scenario, aperiodic, workers=ns.workers)
     return report, (
         f"compare: SINRG {report.sinrg_db:+.2f} dB, PSC {report.psc_db:+.2f} dB, "
         f"SR gain {100 * report.sr_gain_fraction:+.1f}%; results in {ns.out}"
@@ -343,6 +351,8 @@ def _parse_grid_list(text: str, kind, name: str):
         raise ConfigError(f"--{name}: expected comma-separated values, got {text!r}")
     if not items:
         raise ConfigError(f"--{name}: needs at least one value")
+    if len(set(items)) < len(items):
+        raise ConfigError(f"--{name}: repeats a value in {text!r}")
     return items
 
 
@@ -362,8 +372,9 @@ def _cmd_sweep(ns):
         if not 0.0 < frac <= 1.0:
             raise ConfigError(f"--crowdedness: fractions must be in (0, 1], got {frac}")
     # every point's scenario (K = round(fraction * M), aperture M - 1) is
-    # validated before the first draw; the first one heads the outputs
-    points = []
+    # validated before the first draw; the first heads the outputs, and
+    # fractions that round to one K at an M share one run
+    grid, points = [], {}
     for m in bs_counts:
         for frac in crowd:
             k = int(round(frac * m))
@@ -371,21 +382,25 @@ def _cmd_sweep(ns):
                 warnings.warn(f"skipping infeasible sweep point M={m}, crowdedness={frac} "
                               f"(K={k})", RuntimeWarning, stacklevel=2)
                 continue
-            points.append((frac, _build_scenario({**values, "M": m, "K": k})))
+            if (m, k) not in points:
+                points[m, k] = _build_scenario({**values, "M": m, "K": k})
+            grid.append((m, k, frac))
     if not points:
         raise ConfigError("no feasible (M, K) grid point in the sweep")
+    first = next(iter(points.values()))
     # the dense reference reuses the points' realization count unless one is given
-    syn = {"synthesis_realizations": points[0][1].realizations,
-           **_flag_values(ns, _SYNTHESIS_KEYS)}
-    rows = []
-    for frac, scenario in points:
-        comp = engine.compare_layouts(scenario, workers=ns.workers, **syn)
-        rows.append((scenario.M, scenario.K, frac, comp.sinrg_db, comp.psc_db,
-                     comp.sr_gain_fraction, comp.aperiodic.valid and comp.regular.valid))
+    settings = _synthesis_settings(ns, first.realizations)
+    results = {}
+    for mk, scenario in points.items():
+        aperiodic = _synthesize(scenario, settings, ns.workers)[1]
+        comp = engine.compare_layouts(scenario, aperiodic, workers=ns.workers)
+        results[mk] = (comp.sinrg_db, comp.psc_db, comp.sr_gain_fraction,
+                       comp.aperiodic.valid and comp.regular.valid)
+    rows = [(m, k, frac, *results[m, k]) for m, k, frac in grid]
     summary = {"bs_counts": bs_counts, "crowdedness": [_jnum(f) for f in crowd],
                "rows": [dict(zip(_ROW_FIELDS, map(_jnum, row))) for row in rows]}
     files = {"sweep.csv": _csv(_ROW_FIELDS, *zip(*rows))}
-    return (points[0][1], summary, files), f"sweep: wrote {len(rows)} grid points to {ns.out}"
+    return (first, summary, files), f"sweep: wrote {len(rows)} grid points to {ns.out}"
 
 
 def _execute(ns) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, metrics, synthesis
+from . import channel, metrics
 from .arrays import ArrayLayout, regular_layout
 from .beamform import _zf_solve
 from .channel import STREAM_CALIBRATION, STREAM_EVAL
@@ -308,27 +308,12 @@ def run_simulation(
 
 
 def compare_layouts(
-    scenario: ScenarioConfig,
-    aperiodic: ArrayLayout = None,
-    workers: int = 1,
-    dense_oversampling: int = synthesis.DEFAULT_OVERSAMPLING,
-    synthesis_realizations: int = synthesis.DEFAULT_SYNTHESIS_REALIZATIONS,
+    scenario: ScenarioConfig, aperiodic: ArrayLayout, workers: int = 1
 ) -> ComparisonReport:
-    """Aperiodic versus regular array on the same scenario and random numbers.
-
-    Synthesizes the aperiodic layout for the scenario's environment unless
-    one is supplied. Both runs share the master seed (common random
-    numbers), which shrinks the variance of the difference estimates.
-    """
+    """The given aperiodic layout versus the regular one. Both runs share the
+    master seed (common random numbers), which shrinks the variance of the
+    difference estimates; the caller synthesizes the aperiodic layout."""
     regular = default_layout(scenario)
-    if aperiodic is None:
-        profile = synthesis.reference_profile(
-            scenario,
-            dense_oversampling=dense_oversampling,
-            realizations=synthesis_realizations,
-            workers=workers,
-        )
-        aperiodic = synthesis.density_taper(profile, scenario.M)
     rep_aper = run_simulation(scenario, aperiodic, workers=workers)
     rep_reg = run_simulation(scenario, regular, workers=workers)
     sinrg_db = metrics.sinr_gain(rep_aper.sinr_cdf, rep_reg.sinr_cdf)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from .arrays import ArrayLayout, regular_layout
 from .channel import STREAM_SYNTHESIS, STREAM_SYNTHESIS_CAL
 
@@ -105,7 +106,7 @@ def _enforce_min_separation(positions: np.ndarray, x_max: float) -> np.ndarray:
     [0, 1] at m = 12 gives 0.04999999999999993).
     """
     m = positions.size
-    if m < 2 or np.all(np.diff(positions) >= MIN_SEPARATION):
+    if np.all(np.diff(positions) >= MIN_SEPARATION):
         return positions
     if (m - 1) * MIN_SEPARATION > x_max:
         raise ValueError(
@@ -180,8 +181,6 @@ def reference_profile(
     aperture (dedicated random streams, so evaluation draws stay
     untouched) and returns the per-element mean power as a density.
     """
-    from . import engine  # deferred: engine imports this module
-
     if dense_oversampling < 2:
         raise ValueError(
             f"dense oversampling must be at least 2 elements per wavelength, "

@@ -28,7 +28,12 @@ from apermimo.arrays import regular_layout
 from apermimo.cli import main as cli_main
 from apermimo.engine import ScenarioConfig
 from apermimo.metrics import SinrCdf, StreamingMoments
-from apermimo.synthesis import DensityProfile, density_taper
+from apermimo.synthesis import (
+    DEFAULT_SYNTHESIS_REALIZATIONS,
+    DensityProfile,
+    density_taper,
+    reference_profile,
+)
 
 SEED = 20260818
 EVAL_REALIZATIONS = 100_000
@@ -37,11 +42,15 @@ SWEEP_REALIZATIONS = 30_000
 pytestmark = pytest.mark.acceptance
 
 
-def _compare(**kwargs):
-    """compare_layouts with noisy-but-expected warnings silenced."""
+def _compare(scenario, aperiodic=None, synthesis_realizations=DEFAULT_SYNTHESIS_REALIZATIONS):
+    """compare_layouts with noisy-but-expected warnings silenced, on the
+    density taper of the scenario's dense reference unless a layout is given."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return engine.compare_layouts(**kwargs)
+        if aperiodic is None:
+            profile = reference_profile(scenario, realizations=synthesis_realizations)
+            aperiodic = density_taper(profile, scenario.M)
+        return engine.compare_layouts(scenario, aperiodic)
 
 
 # ------------------------------------------------------- shared expensive runs

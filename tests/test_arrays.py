@@ -53,8 +53,10 @@ def test_layout_positions_immutable():
 
 
 def test_single_element_layout():
-    lay = ArrayLayout(positions=np.array([0.0]))
-    assert lay.aperture == 0.0
+    # an array has at least 2 elements: one position (or a bare scalar) is refused
+    for positions in (np.array([0.0]), 0.0):
+        with pytest.raises(ValueError, match="at least 2"):
+            ArrayLayout(positions=positions)
 
 
 def test_huygens_gain_cardioid():

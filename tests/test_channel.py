@@ -290,7 +290,7 @@ def test_wave_field_moved_element_against_oracle():
     _assert_field_matches_oracle(pos, 2, 20)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3])
 def test_wave_field_tiny_arrays_against_oracle(m):
     pos = np.arange(m) * 0.5
     _assert_field_matches_oracle(pos, 1, 20)

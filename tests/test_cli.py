@@ -475,8 +475,10 @@ def test_layout_with_the_wrong_element_count_is_refused(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize("text", [None, "position_lambda\n0.0\nthree\n", "x\n0.0\n",
-                                  "position_lambda\n", "position_lambda\n0.0\n2.0\n1.0\n"],
-                         ids=["missing", "bad-number", "bad-header", "empty", "unsorted"])
+                                  "position_lambda\n", "position_lambda\n0.0\n2.0\n1.0\n",
+                                  "position_lambda\n0.0\n"],
+                         ids=["missing", "bad-number", "bad-header", "empty", "unsorted",
+                              "one-element"])
 def test_unreadable_layout_is_config_error(tmp_path, capsys, text):
     # simulate and compare read --layout through the same helper
     path = tmp_path / "layout.csv"
@@ -525,6 +527,26 @@ def test_compare_with_explicit_layout(tmp_path):
                  "power_aperiodic.csv", "power_regular.csv"):
         assert (out / name).exists()
     assert _read(out / "cdf_aperiodic.csv") == _read(out / "cdf_regular.csv")
+
+
+def test_compare_runs_the_layout_that_synthesize_writes(tmp_path):
+    # without --layout, compare synthesizes exactly as synthesize does
+    flags = ["--M", "4", "--K", "1", "--waves-per-ue", "2", "--realizations", "1200",
+             "--seed", "99", "--oversampling", "4", "--synthesis-realizations", "10000"]
+    syn, cmp = tmp_path / "syn", tmp_path / "cmp"
+    assert _run(["synthesize", *flags, "--out", str(syn)]) == EXIT_OK
+    assert _run(["compare", *flags, "--out", str(cmp)]) == EXIT_OK
+    assert _read(cmp / "layout_aperiodic.csv") == _read(syn / "layout.csv")
+
+
+def test_compare_with_layout_still_checks_synthesis_flags(tmp_path, capsys):
+    path = _write_layout(tmp_path, [0.0, 0.9, 2.2, 3.0])
+    code = _run(["compare", "--M", "4", "--K", "2", "--realizations", "1200",
+                 "--layout", str(path), "--oversampling", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "error:config-error: key 'oversampling'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # ------------------------------------------------------------------- sweep
@@ -625,16 +647,55 @@ def test_sweep_sets_k_by_rounding(tmp_path):
 
 def test_sweep_builds_every_point_before_the_first_draw(tmp_path, capsys, monkeypatch):
     # M=1 at crowdedness 1.0 is K=1 on a single element: refused up front,
-    # before the M=4 point runs
+    # before the M=4 point's dense reference or comparison runs
     def no_draws(*args, **kwargs):
         raise AssertionError("a sweep point ran before the grid was validated")
 
-    monkeypatch.setattr(cli.engine, "compare_layouts", no_draws)
+    monkeypatch.setattr(cli.engine, "run_simulation", no_draws)
     code = _run(["sweep", "--bs-counts", "4,1", "--crowdedness", "1.0",
                  "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
     assert "error:config-error" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def _count_comparisons(monkeypatch):
+    """The scenarios of every compare_layouts call the CLI makes from now on."""
+    calls = []
+    real = cli.engine.compare_layouts
+
+    def counting(scenario, *args, **kwargs):
+        calls.append(scenario)
+        return real(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(cli.engine, "compare_layouts", counting)
+    return calls
+
+
+@pytest.mark.parametrize("grid", [["--bs-counts", "4,4", "--crowdedness", "0.5"],
+                                  ["--bs-counts", "4", "--crowdedness", "0.5,0.50"]],
+                         ids=["bs-counts", "crowdedness"])
+def test_sweep_refuses_a_repeated_grid_value(tmp_path, capsys, monkeypatch, grid):
+    calls = _count_comparisons(monkeypatch)
+    code = _run(["sweep", *grid, *_SMALL_SWEEP, "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "error:config-error" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_runs_a_shared_point_once(tmp_path, monkeypatch):
+    # 0.25 and 0.3 of M=4 both round to K=1: one run, one row per fraction
+    calls = _count_comparisons(monkeypatch)
+    out = tmp_path / "swp"
+    code = _run(["sweep", "--bs-counts", "4", "--crowdedness", "0.25,0.3,0.5",
+                 *_SMALL_SWEEP, "--out", str(out)])
+    assert code == EXIT_OK
+    assert [(sc.M, sc.K) for sc in calls] == [(4, 1), (4, 2)]
+    rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["4", "1", "0.25"], ["4", "1", "0.3"],
+                                         ["4", "2", "0.5"]]
+    assert rows[0][3:] == rows[1][3:]
 
 
 # ------------------------------------------------------------ golden bytes

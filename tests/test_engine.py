@@ -1,9 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from apermimo import channel
+from apermimo import channel, engine
 from apermimo.arrays import ArrayLayout, regular_layout
 from apermimo.beamform import COND_LIMIT, RESIDUAL_LIMIT
 from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
@@ -18,6 +19,7 @@ from apermimo.engine import (
     run_simulation,
 )
 from apermimo.metrics import SinrCdf
+from apermimo.synthesis import reference_profile
 
 
 def _small_scenario(**overrides):
@@ -227,12 +229,19 @@ def test_compare_layout_against_itself_is_null():
     )
 
 
+def test_compare_layouts_only_compares():
+    # synthesizing the aperiodic layout is the caller's step: no engine -> synthesis import
+    assert not hasattr(engine, "synthesis")
+    params = list(inspect.signature(compare_layouts).parameters)
+    assert params == ["scenario", "aperiodic", "workers"]
+
+
 def test_zero_synthesis_realizations_is_not_the_default():
     # 0 used to fall through an ``or`` to the 100 000-draw default
     sc = _small_scenario(M=4, K=2, realizations=1_200)
     with pytest.warns(RuntimeWarning, match="recommended"), \
             pytest.raises(ValueError, match="realizations"):
-        compare_layouts(sc, dense_oversampling=2, synthesis_realizations=0)
+        reference_profile(sc, dense_oversampling=2, realizations=0)
 
 
 def test_block_stats_merge_folds_every_field():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apermimo.arrays import regular_layout
-from apermimo.engine import ScenarioConfig, compare_layouts
+from apermimo.engine import ScenarioConfig
 from apermimo.synthesis import (
     MIN_SEPARATION,
     DegenerateProfileError,
@@ -373,16 +373,3 @@ def test_rich_multipath_synthesis_stays_regular(rimp_reference):
     layout = density_taper(rimp_reference, 8)
     regular = regular_layout(8, 7.0)
     assert np.max(np.abs(layout.positions - regular.positions)) <= 0.15
-
-
-def test_compare_layouts_tapers_the_reference():
-    """compare_layouts synthesizes its aperiodic layout as the density taper
-    of the scenario's dense reference profile."""
-    sc = ScenarioConfig(M=4, K=1, waves_per_ue=2, realizations=1_000, master_seed=99)
-    layout = compare_layouts(sc, dense_oversampling=4,
-                             synthesis_realizations=10_000).aperiodic.layout
-    profile = reference_profile(sc, dense_oversampling=4, realizations=10_000)
-    expected = density_taper(profile, 4)
-    np.testing.assert_array_equal(layout.positions, expected.positions)
-    assert layout.positions[0] == 0.0
-    assert layout.positions[-1] == pytest.approx(3.0)
