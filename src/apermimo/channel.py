@@ -35,6 +35,7 @@ STREAM_SYNTHESIS = 2
 STREAM_SYNTHESIS_CAL = 3
 
 DEFAULT_CALIBRATION_DRAWS = 20_000
+_CALIBRATION_TASK = 1024  # draws per calibration task: ~20 tasks for 20 000 draws
 
 
 _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
@@ -136,10 +137,12 @@ def wave_field(positions, aoa, amplitude, phase, pol_angle, norm: float):
     powers by doubling. Other layouts take one exponential per element and
     wave, as a grid with B = 1. The wave coefficients ride on the fine
     phasors, and a batched (Q, L) @ (L, B) product sums the waves without
-    an (L, M) phasor tensor.
+    an (L, M) phasor tensor. ``positions`` must hold at least 2 elements.
     """
     positions = np.asarray(positions, dtype=float)
     m = positions.size
+    if m < 2:
+        raise ValueError(f"positions must hold at least 2 elements, got {m}")
     coeff = amplitude * np.exp(1j * phase) * np.cos(pol_angle) * huygens_gain(aoa) / norm
     kx = np.broadcast_to(2.0 * np.pi * np.sin(aoa), coeff.shape)
     grid = _sum_grid(positions)
@@ -159,21 +162,29 @@ def wave_field(positions, aoa, amplitude, phase, pol_angle, norm: float):
     return h.reshape(*h.shape[:-2], -1)[..., :m]
 
 
-def _sub_batch(k: int, l: int, m: int) -> int:
-    """Realizations per :func:`wave_field` call for K users, L waves, M elements.
+def _sub_batch(k: int, m: int) -> int:
+    """Realizations per :func:`wave_field` call for K users and M elements.
 
-    Caps the (sub, K, L, M) phasor tensor of non-regular layouts, and the
-    (sub, K, M) field, near 64 MB; every caller chunks by this one rule.
+    Sized to the cache: the (sub, K, M) field and each zero-forcing
+    temporary of its size hold about 2**17 complex entries (2 MiB), with
+    16 to 4096 draws. The (sub, K, L, M) phasor tensor of non-regular
+    layouts is L <= MAX_WAVES times that. Every caller chunks by this one
+    rule; draws do not depend on it.
     """
-    return max(32, min(4096, (1 << 22) // (k * l * m)))
+    return max(16, min(4096, (1 << 17) // (k * m)))
 
 
 def _calibration_chunk(args):
     """Per-draw ||H0||_F^2 / (K M) of calibration draws [start, stop) (runs inside workers)."""
     seed, kind, k, l, positions, start, stop = args
-    aoa, amp, phase, pol = sample_wave_blocks(seed, kind, range(start, stop), k, l)
-    h = wave_field(positions, aoa, amp, phase, pol, 1.0)
-    return np.mean(np.abs(h) ** 2, axis=(1, 2))
+    vals = np.empty(stop - start)
+    sub = _sub_batch(k, len(positions))
+    for s in range(start, stop, sub):
+        e = min(stop, s + sub)
+        aoa, amp, phase, pol = sample_wave_blocks(seed, kind, range(s, e), k, l)
+        h = wave_field(positions, aoa, amp, phase, pol, 1.0)
+        vals[s - start : e - start] = np.mean(np.abs(h) ** 2, axis=(1, 2))
+    return vals
 
 
 def calibrate_normalization(
@@ -189,13 +200,13 @@ def calibrate_normalization(
     drawn from the dedicated calibration streams; dividing channels by c
     makes the ensemble-average per-element channel power 1. Deterministic
     for a fixed master seed, and bit-identical for any ``mapper`` (``map``,
-    or an executor's ``map`` over worker processes): chunk bounds depend
-    only on (K, L, M), and c is taken over the per-draw values in order.
+    or an executor's ``map`` over worker processes): tasks are fixed runs
+    of 1024 draws, and c is taken over the per-draw values in order.
     """
     if n_cal < 1_000:
         raise ValueError(f"n_cal must be at least 1000, got {n_cal}")
     k, l = scenario.K, scenario.waves_per_ue
-    step = min(_sub_batch(k, l, len(layout)), 1024)  # ~20 tasks for 20 000 draws
+    step = _CALIBRATION_TASK
     chunks = [(scenario.master_seed, kind, k, l, layout.positions, s, min(s + step, n_cal))
               for s in range(0, n_cal, step)]
     vals = np.concatenate(list(mapper(_calibration_chunk, chunks)))

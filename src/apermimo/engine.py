@@ -166,7 +166,7 @@ def _simulate_block(scenario, layout, norm, start, stop, eval_stream):
     power = np.empty((n, m_el))
     residual = np.empty(n)
     ok = np.empty(n, dtype=bool)
-    sub = channel._sub_batch(k, l, m_el)
+    sub = channel._sub_batch(k, m_el)
     for s in range(0, n, sub):
         e = min(n, s + sub)
         idx = range(start + s, start + e)
@@ -223,11 +223,13 @@ def _block_stats(args) -> BlockStats:
     scenario, layout, norm, start, stop, eval_stream = args
     blk = _simulate_block(scenario, layout, norm, start, stop, eval_stream)
     mask = blk["ok"]
-    sinr = blk["sinr"][mask]
+    sinr, power = blk["sinr"], blk["power"]
+    if not mask.all():  # most blocks keep every draw: no masked copies then
+        sinr, power = sinr[mask], power[mask]
     return BlockStats(
         cdf=SinrCdf().push_db(10.0 * np.log10(sinr)),
         rate=StreamingMoments.from_batch(np.log1p(sinr) / _LN2),
-        power=StreamingMoments.from_batch(blk["power"][mask]),
+        power=StreamingMoments.from_batch(power),
         rejected=int((~mask).sum()),
         max_residual=float(blk["residual"][mask].max(initial=0.0)),
     )
@@ -271,8 +273,9 @@ def run_simulation(
             (scenario, layout, norm, s, min(s + BLOCK, total), eval_stream)
             for s in range(0, total, BLOCK)
         ]
-        # fold after the last block: merging between blocks fragments the
-        # heap and raised the 505-element reference run's peak RSS by 10 %
+        # fold after the last block: merging between blocks raised the
+        # 505-element reference run's peak RSS by 3 % (86.1 -> 88.7 MiB
+        # with hash-checked .pyc files; equal with plain ones)
         results = list(mapper(_block_stats, args))
     stats = BlockStats(SinrCdf(), StreamingMoments(scenario.K), StreamingMoments(scenario.M))
     for block in results:

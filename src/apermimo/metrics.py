@@ -60,7 +60,8 @@ class StreamingMoments:
             return acc
         acc.count = samples.shape[0]
         acc.mean = samples.mean(axis=0)
-        acc._m2 = np.square(samples - acc.mean).sum(axis=0)
+        dev = samples - acc.mean
+        acc._m2 = np.square(dev, out=dev).sum(axis=0)  # in place: one (n, dim) temporary
         return acc
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":

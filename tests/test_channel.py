@@ -290,9 +290,14 @@ def test_wave_field_moved_element_against_oracle():
     _assert_field_matches_oracle(pos, 2, 20)
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_wave_field_tiny_arrays_against_oracle(m):
     pos = np.arange(m) * 0.5
+    if m == 1:  # one element has no spacing: refused like ArrayLayout refuses it
+        params = sample_wave_blocks(SEED, channel.STREAM_EVAL, [0], 1, 20)
+        with pytest.raises(ValueError, match="at least 2 elements"):
+            wave_field(pos, *params, norm=1.0)
+        return
     _assert_field_matches_oracle(pos, 1, 20)
     params = [a[0, 0] for a in sample_wave_blocks(SEED, channel.STREAM_EVAL, [0], 1, 20)]
     h = wave_field(pos, *params, norm=0.37)
@@ -347,8 +352,9 @@ def test_calibration_matches_one_block():
     lay = regular_layout(121, 15.0)
     sc = _Scenario(k=2, waves=20)
     n_cal = 2_007
-    chunk = min(channel._sub_batch(sc.K, sc.waves_per_ue, len(lay)), 1024)
-    assert chunk < n_cal and n_cal % chunk  # several chunks, the last one short
+    task, sub = channel._CALIBRATION_TASK, channel._sub_batch(sc.K, len(lay))
+    assert task < n_cal and n_cal % task  # several tasks, the last one short
+    assert sub < task and task % sub  # several sub-batches a task, the last one short
     params = sample_wave_blocks(
         sc.master_seed, channel.STREAM_CALIBRATION, range(n_cal), sc.K, sc.waves_per_ue
     )
@@ -358,6 +364,18 @@ def test_calibration_matches_one_block():
     assert calibrate_normalization(sc, lay, n_cal) == expected
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
         assert calibrate_normalization(sc, lay, n_cal, mapper=pool.map) == expected
+
+
+@pytest.mark.parametrize("k, waves, m, expected", [
+    (19, 1, 505, 16), (2, 20, 121, 541), (8, 1, 16, 1024), (2, 20, 16, 4096),
+], ids=["505x19-L1", "121x2-L20", "16x8-L1", "16x2-L20"])
+def test_sub_batch_stays_cache_sized(k, waves, m, expected):
+    """The largest field that fits 2**17 complex entries, within [16, 4096] draws."""
+    sub = channel._sub_batch(k, m)
+    assert sub == expected
+    assert sub == 16 or sub * k * m <= 2**17  # the field, unless the floor binds
+    assert sub == 4096 or (sub + 1) * k * m > 2**17
+    assert sub * k * waves * m <= channel.MAX_WAVES * 2**17  # non-regular phasor tensor
 
 
 def test_calibration_self_consistency():
