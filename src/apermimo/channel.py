@@ -200,14 +200,14 @@ def calibrate_normalization(
     drawn from the dedicated calibration streams; dividing channels by c
     makes the ensemble-average per-element channel power 1. Deterministic
     for a fixed master seed, and bit-identical for any ``mapper`` (``map``,
-    or an executor's ``map`` over worker processes): tasks are fixed runs
-    of 1024 draws, and c is taken over the per-draw values in order.
+    or an executor's ``map`` over worker processes): tasks are fixed-size
+    runs of draws, and c is taken over the per-draw values in order.
     """
     if n_cal < 1_000:
         raise ValueError(f"n_cal must be at least 1000, got {n_cal}")
     k, l = scenario.K, scenario.waves_per_ue
-    step = _CALIBRATION_TASK
-    chunks = [(scenario.master_seed, kind, k, l, layout.positions, s, min(s + step, n_cal))
-              for s in range(0, n_cal, step)]
+    chunks = [(scenario.master_seed, kind, k, l, layout.positions, s,
+               min(s + _CALIBRATION_TASK, n_cal))
+              for s in range(0, n_cal, _CALIBRATION_TASK)]
     vals = np.concatenate(list(mapper(_calibration_chunk, chunks)))
     return float(np.sqrt(np.mean(vals)))

@@ -223,13 +223,11 @@ def _block_stats(args) -> BlockStats:
     scenario, layout, norm, start, stop, eval_stream = args
     blk = _simulate_block(scenario, layout, norm, start, stop, eval_stream)
     mask = blk["ok"]
-    sinr, power = blk["sinr"], blk["power"]
-    if not mask.all():  # most blocks keep every draw: no masked copies then
-        sinr, power = sinr[mask], power[mask]
+    sinr = blk["sinr"][mask]
     return BlockStats(
         cdf=SinrCdf().push_db(10.0 * np.log10(sinr)),
         rate=StreamingMoments.from_batch(np.log1p(sinr) / _LN2),
-        power=StreamingMoments.from_batch(power),
+        power=StreamingMoments.from_batch(blk["power"][mask]),
         rejected=int((~mask).sum()),
         max_residual=float(blk["residual"][mask].max(initial=0.0)),
     )

@@ -346,9 +346,9 @@ def test_single_wave_row_has_constant_modulus():
     np.testing.assert_allclose(mags, mags[0], rtol=1e-12)
 
 
-def test_calibration_matches_one_block():
-    """Chunked calibration, serial or mapped over worker processes, equals to
-    the bit one wave_field call over all draws."""
+def test_calibration_matches_one_block(monkeypatch):
+    """Chunked calibration, serial or mapped over worker processes and at any
+    sub-batch size, equals to the bit one wave_field call over all draws."""
     lay = regular_layout(121, 15.0)
     sc = _Scenario(k=2, waves=20)
     n_cal = 2_007
@@ -364,6 +364,9 @@ def test_calibration_matches_one_block():
     assert calibrate_normalization(sc, lay, n_cal) == expected
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
         assert calibrate_normalization(sc, lay, n_cal, mapper=pool.map) == expected
+    for size in (1, 7, 4096):
+        monkeypatch.setattr(channel, "_sub_batch", lambda k, m, size=size: size)
+        assert calibrate_normalization(sc, lay, n_cal) == expected, size
 
 
 @pytest.mark.parametrize("k, waves, m, expected", [

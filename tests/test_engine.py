@@ -168,20 +168,14 @@ def test_report_matches_per_record_accumulation():
     ("uplink", 1, None),
     ("downlink", 20, (0.0, 0.9, 2.2, 3.0, 4.1, 4.9, 6.3, 7.0)),
 ], ids=["los-uplink-regular", "rimp-downlink-aperiodic"])
-def test_results_independent_of_sub_batch(monkeypatch, link, waves, positions):
-    """Norm and every per-draw array are bit-identical for any sub-batch size."""
+def test_simulate_block_independent_of_sub_batch(monkeypatch, link, waves, positions):
+    """Every per-draw array of a block is bit-identical for any sub-batch size."""
     sc = _small_scenario(link=link, waves_per_ue=waves, K=3)
     layout = default_layout(sc) if positions is None else ArrayLayout(positions)
-
-    def run():
-        norm = channel.calibrate_normalization(sc, layout, 2_007)
-        return norm, _simulate_block(sc, layout, norm, 0, BLOCK, STREAM_EVAL)
-
-    norm, blk = run()
+    blk = _simulate_block(sc, layout, 1.0, 0, BLOCK, STREAM_EVAL)
     for sub in (1, 7, 4096):
         monkeypatch.setattr(channel, "_sub_batch", lambda k, m, sub=sub: sub)
-        norm_sub, blk_sub = run()
-        assert norm_sub == norm, sub
+        blk_sub = _simulate_block(sc, layout, 1.0, 0, BLOCK, STREAM_EVAL)
         for key in blk:
             np.testing.assert_array_equal(blk_sub[key], blk[key], err_msg=f"{key} {sub}")
 
