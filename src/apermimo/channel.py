@@ -175,8 +175,17 @@ def _sub_batch(k: int, m: int) -> int:
 
 
 def _calibration_chunk(args):
-    """Per-draw ||H0||_F^2 / (K M) of calibration draws [start, stop) (runs inside workers)."""
+    """Per-draw ||H0||_F^2 / (K M) of calibration draws [start, stop) (runs inside workers).
+
+    At L = 1 every element of user k's row has modulus |c_k|, the wave's
+    coefficient, on any layout, so the value is the mean of |c_k|^2 over
+    users: one draw call over the task and no field. Other L sum the
+    field in cache-sized sub-batches.
+    """
     seed, kind, k, l, positions, start, stop = args
+    if l == 1:
+        aoa, amp, _, pol = sample_wave_blocks(seed, kind, range(start, stop), k, 1)
+        return np.mean((amp * np.cos(pol) * huygens_gain(aoa)) ** 2, axis=(1, 2))
     vals = np.empty(stop - start)
     sub = _sub_batch(k, len(positions))
     for s in range(start, stop, sub):
@@ -198,10 +207,13 @@ def calibrate_normalization(
 
     Returns c = sqrt(mean ||H0||_F^2 / (K M)) over n_cal raw realizations
     drawn from the dedicated calibration streams; dividing channels by c
-    makes the ensemble-average per-element channel power 1. Deterministic
-    for a fixed master seed, and bit-identical for any ``mapper`` (``map``,
-    or an executor's ``map`` over worker processes): tasks are fixed-size
-    runs of draws, and c is taken over the per-draw values in order.
+    makes the ensemble-average per-element channel power 1. At L = 1 (a
+    single line-of-sight wave) each draw's value comes from its wave
+    coefficients alone, so c is the same for every layout and no field is
+    built. Deterministic for a fixed master seed, and bit-identical for any
+    ``mapper`` (``map``, or an executor's ``map`` over worker processes):
+    tasks are fixed-size runs of draws, and c is taken over the per-draw
+    values in order.
     """
     if n_cal < 1_000:
         raise ValueError(f"n_cal must be at least 1000, got {n_cal}")

@@ -20,6 +20,13 @@ class _Scenario:
         self.waves_per_ue = waves
 
 
+class _Layout:
+    """Minimal stand-in carrying the positions calibration reads."""
+
+    def __init__(self, positions):
+        self.positions = positions
+
+
 def test_wave_blocks_counts_and_ranges():
     params = sample_wave_blocks(SEED, channel.STREAM_EVAL, [0], 1, 20)
     assert all(p.shape == (1, 1, 20) for p in params)
@@ -369,6 +376,43 @@ def test_calibration_matches_one_block(monkeypatch):
         assert calibrate_normalization(sc, lay, n_cal) == expected, size
 
 
+def test_single_wave_calibration_needs_no_field(monkeypatch):
+    """At L = 1 calibration reads |c_k|^2 off the wave coefficients: it never
+    calls wave_field, agrees with the field's mean power to round-off and is
+    the same to the bit on every layout, serial or over worker processes."""
+    sc = _Scenario(k=3, waves=1)
+    n_cal = 2_007
+    rng = np.random.default_rng(5)
+    layouts = {  # calibration reads only .positions, so a stand-in may sit off the origin
+        "regular": regular_layout(16, 15.0).positions,
+        "offset": regular_layout(64, 31.5).positions + 3.25,
+        "aperiodic": np.concatenate([[0.0], np.sort(rng.uniform(0.0, 15.0, 14)), [15.0]]),
+    }
+    assert channel._sum_grid(layouts["offset"])[0] == 3.25
+    assert channel._sum_grid(layouts["aperiodic"]) is None
+    params = sample_wave_blocks(
+        sc.master_seed, channel.STREAM_CALIBRATION, range(n_cal), sc.K, sc.waves_per_ue
+    )
+    fields = {}
+    for name, pos in layouts.items():
+        power = np.abs(wave_field(pos, *params, norm=1.0)) ** 2
+        fields[name] = np.sqrt(np.mean(np.mean(power, axis=(1, 2))))
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("single-wave calibration built a field")
+
+    monkeypatch.setattr(channel, "wave_field", no_field)
+    norms = {name: calibrate_normalization(sc, _Layout(pos), n_cal)
+             for name, pos in layouts.items()}
+    for name, norm in norms.items():
+        assert norm == pytest.approx(fields[name], rel=1e-14, abs=0.0), name
+    assert len(set(norms.values())) == 1
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        mapped = calibrate_normalization(sc, _Layout(layouts["aperiodic"]), n_cal,
+                                         mapper=pool.map)
+    assert mapped == norms["regular"]
+
+
 @pytest.mark.parametrize("k, waves, m, expected", [
     (19, 1, 505, 16), (2, 20, 121, 541), (8, 1, 16, 1024), (2, 20, 16, 4096),
 ], ids=["505x19-L1", "121x2-L20", "16x8-L1", "16x2-L20"])
@@ -396,10 +440,17 @@ def test_calibration_self_consistency():
 
 
 def test_calibration_mean_power_analytic():
-    """E|h|^2 of the raw single wave is E[a^2] E[cos^2 psi] E[g^2] = 0.140031."""
+    """E|h|^2 of the raw single wave is E[a^2] E[cos^2 psi] E[g^2] = 0.140031,
+    both as calibrated and as the field's mean power over the same draws."""
     lay = regular_layout(8, 7.0)
-    c = calibrate_normalization(_Scenario(k=2, waves=1), lay, 50_000)
+    sc = _Scenario(k=2, waves=1)
+    c = calibrate_normalization(sc, lay, 50_000)
     np.testing.assert_allclose(c * c, 0.140031, rtol=0.02)
+    params = sample_wave_blocks(
+        sc.master_seed, channel.STREAM_CALIBRATION, range(50_000), sc.K, sc.waves_per_ue
+    )
+    power = np.mean(np.abs(wave_field(lay.positions, *params, norm=1.0)) ** 2)
+    np.testing.assert_allclose(power, 0.140031, rtol=0.02)
 
 
 def test_calibration_scales_with_wave_count():
