@@ -155,7 +155,10 @@ def power_spread(mu, sigma2) -> float:
     """Power spread max(mu + sigma2) / min(mu - sigma2), in dB.
 
     mu and sigma2 are each element's mean and variance of excitation
-    power. 0 dB means ideal uniform, constant amplifier loading. When
+    power. 0 dB means ideal uniform, constant amplifier loading. Adding a
+    variance to a mean makes the figure depend on the unit: the engine's
+    power is the coherent sum beta |sum_k W_mk|^2 with beta normalizing
+    total transmit power to 1, so mu ~ 1/M. When
     min(mu - sigma2) is nonpositive the ratio is undefined and +inf is
     returned with a warning (the profile is too spread for this figure).
     """

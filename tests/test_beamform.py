@@ -208,13 +208,14 @@ def test_batch_solve_independent_of_grouping():
 
 def test_near_collision_refinement_keeps_residual_gate():
     """Draws beyond the plain float64 solve's accuracy must either pass the
-    residual gate after refinement or be rejected, never accepted dirty."""
+    residual gate after the QR rescue or be rejected, never accepted dirty."""
     for du in (1e-4, 1e-5, 3e-6):
         h = _steering_pair(du)
         res = _zf_solve(h[None])
         assert _oracle_cond_ok(h)
         _assert_matches_oracle(h[None], res)
-    assert _zf_solve(_steering_pair(1e-5)[None]).ok[0]  # refinement recovers this
+    assert _zf_solve(_steering_pair(1e-5)[None]).ok[0]  # the rescue recovers this
+    assert _zf_solve(_steering_pair(5e-7)[None]).ok[0]  # cond(G) ~ 9.6e10
 
 
 def test_hopeless_collision_rejected():
@@ -236,10 +237,11 @@ def test_accepted_residuals_bounded_at_scale():
 
 
 def test_screen_matches_oracle_on_mixed_batch():
-    """One batch mixing random channels, near collisions the refinement
-    rescues, near collisions beyond it, and singular slices: the two-stage
-    screen rejects exactly what the SVD condition number and the residual
-    gate reject."""
+    """One batch mixing random channels, near collisions the QR rescue
+    recovers, near collisions beyond the condition limit, and singular
+    slices: the two-stage screen rejects exactly what the SVD condition
+    number and the residual gate reject, and the residual gate rejects no
+    slice that passes the condition limit."""
     rng = np.random.default_rng(11)
     rows = np.exp(0.4j * np.arange(57))
     slices = [_random_channel(rng, 2, 57) for _ in range(3)]
@@ -251,7 +253,7 @@ def test_screen_matches_oracle_on_mixed_batch():
     _assert_matches_oracle(h, res)
     cond_ok = _oracle_cond_ok(h)
     assert (~cond_ok).sum() >= 4  # 1e-7, 1e-8 and the two singular slices
-    assert (cond_ok & ~res.ok).any()  # 5e-7 misses the residual gate
+    np.testing.assert_array_equal(res.ok, cond_ok)
     # without the singular slices the batch inverse does not raise
     regular = np.r_[:10, 12:14]
     _assert_matches_oracle(h[regular], _zf_solve(h[regular]))
@@ -265,14 +267,18 @@ def test_screen_matches_oracle_on_mixed_batch():
 def test_screen_matches_oracle_on_engine_draws(m, aperture, k, n):
     """Line-of-sight draws of the 505-element dense reference at K = 19 and of
     the 16-element array at K = 8, including draws that fail the condition
-    limit: the acceptance mask equals the oracle."""
+    limit: the acceptance mask equals the oracle, and no draw that passes
+    the condition limit is rejected by the residual gate."""
     positions = regular_layout(m, aperture).positions
     cond_rejected = 0
     for s in range(0, n, 500):
         params = sample_wave_blocks(1, STREAM_EVAL, range(s, min(n, s + 500)), k, 1)
         h = wave_field(positions, *params, norm=1.0)
-        _assert_matches_oracle(h, _zf_solve(h))
-        cond_rejected += int((~_oracle_cond_ok(h)).sum())
+        res = _zf_solve(h)
+        _assert_matches_oracle(h, res)
+        cond_ok = _oracle_cond_ok(h)
+        np.testing.assert_array_equal(res.ok, cond_ok)
+        cond_rejected += int((~cond_ok).sum())
     assert cond_rejected >= 1
 
 
