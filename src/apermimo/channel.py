@@ -28,11 +28,10 @@ from .arrays import ArrayLayout, huygens_gain
 SECTOR_HALF_ANGLE = np.pi / 3.0  # 120 degree cell sector
 MAX_WAVES = 20
 
-# stream kinds keep evaluation, calibration and synthesis draws disjoint
+# disjoint kinds for evaluation, calibration and synthesis draws; kind s calibrates on s + 1
 STREAM_EVAL = 0
 STREAM_CALIBRATION = 1
 STREAM_SYNTHESIS = 2
-STREAM_SYNTHESIS_CAL = 3
 
 DEFAULT_CALIBRATION_DRAWS = 20_000
 _CALIBRATION_TASK = 1024  # draws per calibration task: ~20 tasks for 20 000 draws

@@ -7,8 +7,9 @@ worker processes share the load. Realizations are processed in fixed-size
 blocks; each block reduces to one mergeable ``BlockStats`` record (integer
 SINR histogram, mean/variance accumulators, rejection count, worst
 residual) and the main process folds the records in index order, making
-reports bit-reproducible for any worker count. More than one worker forks
-one process pool per run, for the calibration chunks and then the blocks.
+reports bit-reproducible for any worker count. A comparison is one run
+over two layouts: each sub-batch of draws is sampled once for both. More
+than one worker forks one pool per run, for calibration, then the blocks.
 
 Channels whose Gram matrix fails the conditioning/residual screen are
 rejected and counted; a report whose rejection rate exceeds the budget
@@ -26,7 +27,7 @@ import numpy as np
 from . import channel, metrics
 from .arrays import ArrayLayout, regular_layout
 from .beamform import _zf_solve
-from .channel import STREAM_CALIBRATION, STREAM_EVAL
+from .channel import STREAM_EVAL
 from .metrics import SinrCdf, StreamingMoments
 
 BLOCK = 4096  # accumulator granularity, fixed so worker count cannot matter
@@ -144,56 +145,51 @@ class ComparisonReport:
     regular: SimulationReport
 
 
-def _simulate_block(scenario, layout, norm, start, stop, eval_stream):
-    """Raw per-realization results for indices [start, stop).
+def _simulate_block(scenario, layouts, norms, start, stop, stream):
+    """Raw per-realization results for indices [start, stop), one dict per layout.
 
+    Each sub-batch of draws is sampled once and then evaluated on every
+    layout with its own norm, so the layouts see common random numbers.
     Regeneration contract: each realization's numbers depend only on
-    (scenario, layout, norm, its index, eval_stream), never on how
-    realizations are grouped, so any block partition yields identical
-    numbers and ``_simulate_block(..., i, i + 1, ...)`` replays realization
-    i of a full run exactly. Returns per-realization arrays: linear "sinr"
+    (scenario, layout, norm, its index, stream), never on how realizations
+    are grouped or which other layouts share the pass, so any block
+    partition yields identical numbers and
+    ``_simulate_block(..., (layout,), (norm,), i, i + 1, ...)[0]`` replays
+    realization i of a full run exactly. Each dict holds linear "sinr"
     (n, K), per-element "power" beta |sum_k W[:, k]|^2 (n, M) with
     beta = 1 / tr (H H^H)^-1, "residual" max|HW - I| and the acceptance
     mask "ok" (condition screen, residual gate and, on the uplink, a
     positive noise gain).
     """
-    m_el = len(layout)
     k = scenario.K
-    l = scenario.waves_per_ue
     n = stop - start
     snr = scenario.snr
-    sinr = np.empty((n, k))
-    power = np.empty((n, m_el))
-    residual = np.empty(n)
-    ok = np.empty(n, dtype=bool)
-    sub = channel._sub_batch(k, m_el)
+    out = [{"sinr": np.empty((n, k)), "power": np.empty((n, len(layout))),
+            "residual": np.empty(n), "ok": np.empty(n, dtype=bool)} for layout in layouts]
+    sub = channel._sub_batch(k, scenario.M)
     for s in range(0, n, sub):
         e = min(n, s + sub)
-        idx = range(start + s, start + e)
-        aoa, amp, phase, pol = channel.sample_wave_blocks(
-            scenario.master_seed, eval_stream, idx, k, l
+        waves = channel.sample_wave_blocks(
+            scenario.master_seed, stream, range(start + s, start + e), k,
+            scenario.waves_per_ue,
         )
-        h = channel.wave_field(layout.positions, aoa, amp, phase, pol, norm)
-        zf = _zf_solve(h)
-        ok_se = zf.ok
-        if scenario.link == "uplink":
-            # the inverse diagonal is positive for any trustworthy solve;
-            # treat a nonpositive entry as one more reason to reject
-            ok_se = ok_se & (zf.noise_gain.min(axis=-1) > 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sinr[s:e] = snr / zf.noise_gain
-        else:
-            sinr[s:e] = (zf.beta * snr)[:, None]
-        # sum over users as one batched matrix-vector product, not a strided reduction
-        power[s:e] = zf.beta[:, None] * np.abs(zf.weights @ np.ones(k)) ** 2
-        residual[s:e] = zf.residual
-        ok[s:e] = ok_se
-    return {
-        "sinr": sinr,
-        "power": power,
-        "residual": residual,
-        "ok": ok,
-    }
+        for layout, norm, blk in zip(layouts, norms, out):
+            h = channel.wave_field(layout.positions, *waves, norm)
+            zf = _zf_solve(h)
+            ok_se = zf.ok
+            if scenario.link == "uplink":
+                # the inverse diagonal is positive for any trustworthy solve;
+                # treat a nonpositive entry as one more reason to reject
+                ok_se = ok_se & (zf.noise_gain.min(axis=-1) > 0.0)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    blk["sinr"][s:e] = snr / zf.noise_gain
+            else:
+                blk["sinr"][s:e] = (zf.beta * snr)[:, None]
+            # sum over users as one batched matrix-vector product, not a strided reduction
+            blk["power"][s:e] = zf.beta[:, None] * np.abs(zf.weights @ np.ones(k)) ** 2
+            blk["residual"][s:e] = zf.residual
+            blk["ok"][s:e] = ok_se
+    return out
 
 
 @dataclass
@@ -218,42 +214,32 @@ class BlockStats:
         return self
 
 
-def _block_stats(args) -> BlockStats:
-    """Reduce one block to mergeable statistics (runs inside workers)."""
-    scenario, layout, norm, start, stop, eval_stream = args
-    blk = _simulate_block(scenario, layout, norm, start, stop, eval_stream)
-    mask = blk["ok"]
-    sinr = blk["sinr"][mask]
-    return BlockStats(
-        cdf=SinrCdf().push_db(10.0 * np.log10(sinr)),
-        rate=StreamingMoments.from_batch(np.log1p(sinr) / _LN2),
-        power=StreamingMoments.from_batch(blk["power"][mask]),
-        rejected=int((~mask).sum()),
-        max_residual=float(blk["residual"][mask].max(initial=0.0)),
-    )
+def _block_stats(args) -> list:
+    """Reduce one block to one mergeable record per layout (runs inside workers)."""
+    out = []
+    for blk in _simulate_block(*args):
+        mask = blk["ok"]
+        sinr = blk["sinr"][mask]
+        out.append(BlockStats(
+            cdf=SinrCdf().push_db(10.0 * np.log10(sinr)),
+            rate=StreamingMoments.from_batch(np.log1p(sinr) / _LN2),
+            power=StreamingMoments.from_batch(blk["power"][mask]),
+            rejected=int((~mask).sum()),
+            max_residual=float(blk["residual"][mask].max(initial=0.0)),
+        ))
+    return out
 
 
-def run_simulation(
-    scenario: ScenarioConfig,
-    layout: ArrayLayout = None,
-    workers: int = 1,
-    eval_stream: int = STREAM_EVAL,
-    cal_stream: int = STREAM_CALIBRATION,
-) -> SimulationReport:
-    """Calibrate, run all realizations, and fold statistics canonically.
+def _run(scenario, layouts, workers, stream) -> list:
+    """One pass of every layout over the same draws: one report per layout.
 
-    The report is bit-identical for any worker count: calibration chunks
-    and blocks have fixed boundaries, each one's numbers depend only on
-    its own indices, and the merge happens in index order on the calling
-    process. ``workers > 1`` maps both through one forked
-    ``ProcessPoolExecutor``, so a dead worker raises ``BrokenProcessPool``.
+    Each public entry point calls it directly, so its warnings name their caller.
     """
-    if layout is None:
-        layout = default_layout(scenario)
-    if len(layout) != scenario.M:
-        raise ValueError(
-            f"layout has {len(layout)} elements but scenario.M={scenario.M}"
-        )
+    for layout in layouts:
+        if len(layout) != scenario.M:
+            raise ValueError(
+                f"layout has {len(layout)} elements but scenario.M={scenario.M}"
+            )
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     total = scenario.realizations
@@ -264,59 +250,79 @@ def run_simulation(
 
             ctx = multiprocessing.get_context("fork")
             mapper = stack.enter_context(ProcessPoolExecutor(workers, mp_context=ctx)).map
-        norm = channel.calibrate_normalization(
-            scenario, layout, kind=cal_stream, mapper=mapper
-        )
+        norms = [channel.calibrate_normalization(scenario, layout, kind=stream + 1,
+                                                 mapper=mapper) for layout in layouts]
         args = [
-            (scenario, layout, norm, s, min(s + BLOCK, total), eval_stream)
+            (scenario, layouts, norms, s, min(s + BLOCK, total), stream)
             for s in range(0, total, BLOCK)
         ]
         # fold after the last block: merging between blocks raised the
         # 505-element reference run's peak RSS by 3 % (86.1 -> 88.7 MiB
         # with hash-checked .pyc files; equal with plain ones)
         results = list(mapper(_block_stats, args))
-    stats = BlockStats(SinrCdf(), StreamingMoments(scenario.K), StreamingMoments(scenario.M))
-    for block in results:
-        stats.merge(block)
-    rejected = stats.rejected
-    accepted = total - rejected
-    sum_rate = float(stats.rate.mean.sum()) if accepted else math.nan
-    if accepted >= 2:
-        ps_db = metrics.power_spread(stats.power.mean, stats.power.variance)
-    else:
-        ps_db = math.nan
-    valid = rejected <= REJECTION_BUDGET * total
-    if not valid:
-        warnings.warn(
-            f"rejected {rejected} of {total} realizations, above the "
-            f"{REJECTION_BUDGET:.1%} budget; report flagged invalid",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return SimulationReport(
-        scenario=scenario,
-        layout=layout,
-        norm=norm,
-        sinr_cdf=stats.cdf,
-        sum_rate=sum_rate,
-        power=stats.power,
-        power_spread_db=ps_db,
-        accepted_count=accepted,
-        rejected_count=rejected,
-        max_residual=stats.max_residual,
-        valid=valid,
-    )
+    reports = []
+    for i, (layout, norm) in enumerate(zip(layouts, norms)):
+        stats = BlockStats(SinrCdf(), StreamingMoments(scenario.K), StreamingMoments(scenario.M))
+        for arms in results:
+            stats.merge(arms[i])
+        rejected = stats.rejected
+        accepted = total - rejected
+        sum_rate = float(stats.rate.mean.sum()) if accepted else math.nan
+        if accepted >= 2:
+            ps_db = metrics.power_spread(stats.power.mean, stats.power.variance)
+        else:
+            ps_db = math.nan
+        valid = rejected <= REJECTION_BUDGET * total
+        if not valid:
+            warnings.warn(
+                f"rejected {rejected} of {total} realizations, above the "
+                f"{REJECTION_BUDGET:.1%} budget; report flagged invalid",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        reports.append(SimulationReport(
+            scenario=scenario, layout=layout, norm=norm, sinr_cdf=stats.cdf,
+            sum_rate=sum_rate, power=stats.power, power_spread_db=ps_db,
+            accepted_count=accepted, rejected_count=rejected,
+            max_residual=stats.max_residual, valid=valid,
+        ))
+    return reports
+
+
+def run_simulation(
+    scenario: ScenarioConfig,
+    layout: ArrayLayout = None,
+    workers: int = 1,
+    stream: int = STREAM_EVAL,
+) -> SimulationReport:
+    """Calibrate, run all realizations, and fold statistics canonically.
+
+    Evaluation draws come from stream kind ``stream`` and calibration draws
+    from ``stream + 1``. The report is bit-identical for any worker count:
+    calibration chunks and blocks have fixed boundaries, each one's numbers
+    depend only on its own indices, and the merge happens in index order on
+    the calling process. ``workers > 1`` maps both through one forked
+    ``ProcessPoolExecutor``, so a dead worker raises ``BrokenProcessPool``.
+    """
+    if layout is None:
+        layout = default_layout(scenario)
+    return _run(scenario, (layout,), workers, stream)[0]
 
 
 def compare_layouts(
     scenario: ScenarioConfig, aperiodic: ArrayLayout, workers: int = 1
 ) -> ComparisonReport:
-    """The given aperiodic layout versus the regular one. Both runs share the
-    master seed (common random numbers), which shrinks the variance of the
-    difference estimates; the caller synthesizes the aperiodic layout."""
-    regular = default_layout(scenario)
-    rep_aper = run_simulation(scenario, aperiodic, workers=workers)
-    rep_reg = run_simulation(scenario, regular, workers=workers)
+    """The given aperiodic layout versus the regular one, in one pass.
+
+    Each block of draws is sampled once and evaluated on both layouts
+    (common random numbers), which shrinks the variance of the difference
+    estimates; ``workers > 1`` forks one pool for both. Each arm equals a
+    separate :func:`run_simulation` of its layout bit for bit. The caller
+    synthesizes the aperiodic layout.
+    """
+    rep_aper, rep_reg = _run(
+        scenario, (aperiodic, default_layout(scenario)), workers, STREAM_EVAL
+    )
     sinrg_db = metrics.sinr_gain(rep_aper.sinr_cdf, rep_reg.sinr_cdf)
     psc_db = metrics.psc(rep_reg.power_spread_db, rep_aper.power_spread_db)
     if rep_reg.sum_rate > 0.0:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import engine
 from .arrays import ArrayLayout, regular_layout
-from .channel import STREAM_SYNTHESIS, STREAM_SYNTHESIS_CAL
+from .channel import STREAM_SYNTHESIS
 
 # wavelengths, floor on adjacent element spacing; it holds to a few ulp of
 # X_max, since fl(0.05) > 0.05 makes an exact floor impossible where
@@ -196,12 +196,6 @@ def reference_profile(
     num_dense = int(round(scenario.aperture * dense_oversampling)) + 1
     dense = regular_layout(num_dense, scenario.aperture)
     ref_scenario = dataclasses.replace(scenario, M=num_dense, realizations=realizations)
-    report = engine.run_simulation(
-        ref_scenario,
-        dense,
-        workers=workers,
-        eval_stream=STREAM_SYNTHESIS,
-        cal_stream=STREAM_SYNTHESIS_CAL,
-    )
+    report = engine.run_simulation(ref_scenario, dense, workers=workers, stream=STREAM_SYNTHESIS)
     return DensityProfile(positions=dense.positions, values=report.power.mean)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import inspect
 import math
 
@@ -75,7 +76,7 @@ def test_scenario_defaults():
 
 def _replay(sc, layout, norm, index):
     """Realization ``index`` regenerated alone, as a dict of length-1 arrays."""
-    return _simulate_block(sc, layout, norm, index, index + 1, STREAM_EVAL)
+    return _simulate_block(sc, (layout,), (norm,), index, index + 1, STREAM_EVAL)[0]
 
 
 def test_realization_is_reproducible():
@@ -172,12 +173,27 @@ def test_simulate_block_independent_of_sub_batch(monkeypatch, link, waves, posit
     """Every per-draw array of a block is bit-identical for any sub-batch size."""
     sc = _small_scenario(link=link, waves_per_ue=waves, K=3)
     layout = default_layout(sc) if positions is None else ArrayLayout(positions)
-    blk = _simulate_block(sc, layout, 1.0, 0, BLOCK, STREAM_EVAL)
+    blk = _simulate_block(sc, (layout,), (1.0,), 0, BLOCK, STREAM_EVAL)[0]
     for sub in (1, 7, 4096):
         monkeypatch.setattr(channel, "_sub_batch", lambda k, m, sub=sub: sub)
-        blk_sub = _simulate_block(sc, layout, 1.0, 0, BLOCK, STREAM_EVAL)
+        blk_sub = _simulate_block(sc, (layout,), (1.0,), 0, BLOCK, STREAM_EVAL)[0]
         for key in blk:
             np.testing.assert_array_equal(blk_sub[key], blk[key], err_msg=f"{key} {sub}")
+
+
+def _assert_same_report(a, b):
+    """Two reports agree bit for bit in every figure."""
+    np.testing.assert_array_equal(a.layout.positions, b.layout.positions)
+    assert a.norm == b.norm
+    np.testing.assert_array_equal(a.sinr_cdf.counts, b.sinr_cdf.counts)
+    np.testing.assert_array_equal(a.power.mean, b.power.mean)
+    np.testing.assert_array_equal(a.power.variance, b.power.variance)
+    assert a.sum_rate == b.sum_rate
+    assert a.power_spread_db == b.power_spread_db
+    assert a.rejected_count == b.rejected_count
+    assert a.accepted_count == b.accepted_count
+    assert a.max_residual == b.max_residual
+    assert a.valid == b.valid
 
 
 def test_worker_count_does_not_change_report():
@@ -187,14 +203,7 @@ def test_worker_count_does_not_change_report():
         layout = default_layout(sc)
         rep1 = run_simulation(sc, layout, workers=1)
         rep2 = run_simulation(sc, layout, workers=2)
-        assert rep1.norm == rep2.norm
-        np.testing.assert_array_equal(rep1.sinr_cdf.counts, rep2.sinr_cdf.counts)
-        np.testing.assert_array_equal(rep1.power.mean, rep2.power.mean)
-        np.testing.assert_array_equal(rep1.power.variance, rep2.power.variance)
-        assert rep1.sum_rate == rep2.sum_rate
-        assert rep1.power_spread_db == rep2.power_spread_db
-        assert rep1.rejected_count == rep2.rejected_count
-        assert rep1.max_residual == rep2.max_residual
+        _assert_same_report(rep1, rep2)
 
 
 def test_uplink_downlink_share_power_statistics():
@@ -222,8 +231,9 @@ def test_degenerate_layout_flags_report():
     """Two effectively coincident elements reject every 2-user draw."""
     sc = ScenarioConfig(M=2, K=2, waves_per_ue=1, realizations=200, master_seed=5, aperture=1e-9)
     layout = ArrayLayout(np.array([0.0, 1e-9]))
-    with pytest.warns(RuntimeWarning, match="rejected"):
+    with pytest.warns(RuntimeWarning, match="rejected") as record:
         rep = run_simulation(sc, layout)
+    assert [r.filename for r in record] == [__file__]  # the caller's line, not the engine's
     assert rep.accepted_count == 0
     assert rep.rejected_count == 200
     assert not rep.valid
@@ -252,6 +262,55 @@ def test_compare_layouts_only_compares():
     assert params == ["scenario", "aperiodic", "workers"]
 
 
+_APERIODIC_8 = ArrayLayout((0.0, 0.9, 2.2, 3.0, 4.1, 4.9, 6.3, 7.0))
+
+
+def test_comparison_samples_each_draw_once_on_one_pool(monkeypatch):
+    sc = _small_scenario(realizations=BLOCK + 123, waves_per_ue=3)
+    streams = []
+    sample = channel.sample_wave_blocks
+
+    def counting(master_seed, kind, indices, num_users, num_waves):
+        if kind == STREAM_EVAL:
+            streams.append(len(indices) * num_users)
+        return sample(master_seed, kind, indices, num_users, num_waves)
+
+    monkeypatch.setattr(channel, "sample_wave_blocks", counting)
+    compare_layouts(sc, _APERIODIC_8)
+    assert sum(streams) == sc.realizations * sc.K
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    compare_layouts(sc, _APERIODIC_8, workers=2)
+    assert len(pools) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_comparison_arms_equal_separate_runs(workers):
+    # at L = 20 a non-equispaced layout has its own norm, so the arms differ
+    sc = _small_scenario(waves_per_ue=20, realizations=BLOCK + 123)
+    comp = compare_layouts(sc, _APERIODIC_8, workers=workers)
+    assert comp.aperiodic.norm != comp.regular.norm
+    _assert_same_report(comp.aperiodic, run_simulation(sc, _APERIODIC_8))
+    _assert_same_report(comp.regular, run_simulation(sc, default_layout(sc)))
+
+
+def test_invalid_comparison_warns_at_the_caller():
+    # a 1e-3 wavelength aperture rejects 6 of 1000 draws: enough samples for the
+    # gains, too many rejections for the budget
+    sc = ScenarioConfig(M=2, K=2, realizations=1_000, master_seed=5, aperture=1e-3)
+    with pytest.warns(RuntimeWarning, match="flagged invalid") as record:
+        comp = compare_layouts(sc, ArrayLayout(np.array([0.0, 1e-3])))
+    assert [r.filename for r in record] == [__file__, __file__]
+    assert not comp.aperiodic.valid and not comp.regular.valid
+
+
 def test_zero_synthesis_realizations_is_not_the_default():
     # 0 used to fall through an ``or`` to the 100 000-draw default
     sc = _small_scenario(M=4, K=2, realizations=1_200)
@@ -263,9 +322,9 @@ def test_zero_synthesis_realizations_is_not_the_default():
 def test_block_stats_merge_folds_every_field():
     sc = _small_scenario(realizations=600)
     layout = default_layout(sc)
-    whole = _block_stats((sc, layout, 1.0, 0, 600, STREAM_EVAL))
-    halves = _block_stats((sc, layout, 1.0, 0, 250, STREAM_EVAL))
-    halves.merge(_block_stats((sc, layout, 1.0, 250, 600, STREAM_EVAL)))
+    whole = _block_stats((sc, (layout,), (1.0,), 0, 600, STREAM_EVAL))[0]
+    halves = _block_stats((sc, (layout,), (1.0,), 0, 250, STREAM_EVAL))[0]
+    halves.merge(_block_stats((sc, (layout,), (1.0,), 250, 600, STREAM_EVAL))[0])
     np.testing.assert_array_equal(halves.cdf.counts, whole.cdf.counts)
     assert halves.rejected == whole.rejected
     assert halves.max_residual == whole.max_residual
