@@ -35,6 +35,7 @@ STREAM_SYNTHESIS = 2
 
 DEFAULT_CALIBRATION_DRAWS = 20_000
 _CALIBRATION_TASK = 1024  # draws per calibration task: ~20 tasks for 20 000 draws
+_CACHE_ENTRIES = 1 << 17  # complex entries in one cache-sized temporary (2 MiB)
 
 
 _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
@@ -133,10 +134,13 @@ def wave_field(positions, aoa, amplitude, phase, pol_angle, norm: float):
     ulp of the aperture, element q B + b sits at x0 + q B d + b d and its
     phasor is exp(j kx x0) Z**q z**b, with Z = exp(j kx B d) and z =
     exp(j kx d): two exponentials a wave (three if x0 != 0), raised to
-    powers by doubling. Other layouts take one exponential per element and
-    wave, as a grid with B = 1. The wave coefficients ride on the fine
-    phasors, and a batched (Q, L) @ (L, B) product sums the waves without
-    an (L, M) phasor tensor. ``positions`` must hold at least 2 elements.
+    powers by doubling; the wave coefficients ride on the fine phasors, and
+    a batched (Q, L) @ (L, B) product sums the waves without an (L, M)
+    phasor tensor. Other layouts take one exponential per element and wave:
+    their (L, M) phasors are built for runs of (draw, user) rows of about
+    2**17 complex entries at a time, and each row's (M, L) @ (L, 1) product
+    goes into one preallocated output, so the run length moves no bit.
+    ``positions`` must hold at least 2 elements.
     """
     positions = np.asarray(positions, dtype=float)
     m = positions.size
@@ -146,16 +150,21 @@ def wave_field(positions, aoa, amplitude, phase, pol_angle, norm: float):
     kx = np.broadcast_to(2.0 * np.pi * np.sin(aoa), coeff.shape)
     grid = _sum_grid(positions)
     if grid is None:
-        # (M, ..., L) view of (..., L, M) phasors: each draw's block stays contiguous
-        coarse = np.moveaxis(_phasors(kx[..., None], positions), -1, 0)
-        fine = coeff[None]
-    else:
-        origin, step, b = grid
-        if origin:
-            coeff = coeff * _phasors(kx, origin)
-        coarse = _powers(_phasors(kx, b * step), -(-m // b))
-        fine = _powers(_phasors(kx, step), b)
-        fine *= coeff
+        lead, l = coeff.shape[:-1], coeff.shape[-1]
+        coeff, kx = coeff.reshape(-1, l, 1), kx.reshape(-1, l, 1)
+        h = np.empty((len(coeff), m, 1), dtype=complex)
+        rows = max(1, _CACHE_ENTRIES // (l * m))
+        for s in range(0, len(h), rows):
+            # (M, L) view of each row's (L, M) phasors, which stay contiguous
+            phasors = np.swapaxes(_phasors(kx[s : s + rows], positions), -1, -2)
+            np.matmul(phasors, coeff[s : s + rows], out=h[s : s + rows])
+        return h.reshape(*lead, m)
+    origin, step, b = grid
+    if origin:
+        coeff = coeff * _phasors(kx, origin)
+    coarse = _powers(_phasors(kx, b * step), -(-m // b))
+    fine = _powers(_phasors(kx, step), b)
+    fine *= coeff
     # grid index leading: both operands are strided views that BLAS reads in place
     h = np.moveaxis(coarse, 0, -2) @ np.moveaxis(fine, 0, -1)
     return h.reshape(*h.shape[:-2], -1)[..., :m]
@@ -166,11 +175,11 @@ def _sub_batch(k: int, m: int) -> int:
 
     Sized to the cache: the (sub, K, M) field and each zero-forcing
     temporary of its size hold about 2**17 complex entries (2 MiB), with
-    16 to 4096 draws. The (sub, K, L, M) phasor tensor of non-regular
-    layouts is L <= MAX_WAVES times that. Every caller chunks by this one
+    16 to 4096 draws. :func:`wave_field` builds the phasors of non-regular
+    layouts in runs of the same size. Every caller chunks by this one
     rule; draws do not depend on it.
     """
-    return max(16, min(4096, (1 << 17) // (k * m)))
+    return max(16, min(4096, _CACHE_ENTRIES // (k * m)))
 
 
 def _calibration_chunk(args):

@@ -218,9 +218,16 @@ def _record(obj, names) -> dict:
 
 
 def _csv(header, *columns) -> str:
-    """CSV text: the header names, then one ``_fmt`` line per row of the columns."""
+    """CSV text: the header names, then one line of ``_fmt`` cells per row of the columns.
+
+    A float array column skips ``_fmt``: "%.9g" over its ``tolist()`` gives
+    the same text for finite values, nan and +-inf, in about a quarter of the time.
+    """
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    line = ",".join("%.9g" if f else "%s" for f in floats)
+    cells = [c.tolist() if f else map(_fmt, c) for c, f in zip(columns, floats)]
     lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns))
+    lines.extend(line % row for row in zip(*cells))
     return "\n".join(lines) + "\n"
 
 

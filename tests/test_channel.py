@@ -1,11 +1,12 @@
 import multiprocessing
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from apermimo import channel
-from apermimo.arrays import layout_csv_text, read_layout_csv, regular_layout
+from apermimo.arrays import huygens_gain, layout_csv_text, read_layout_csv, regular_layout
 from apermimo.channel import calibrate_normalization, sample_wave_blocks, wave_field
 
 SEED = 424242
@@ -344,6 +345,48 @@ def test_wave_field_broadcasts_wave_arrays(positions):
     ref = wave_field(positions, np.broadcast_to(aoa[0, 0], amp.shape), amp, phase, pol, norm=1.0)
     assert h.shape == (3, 2, len(positions))
     np.testing.assert_array_equal(h, ref)
+
+
+def _aperiodic_16():
+    rng = np.random.default_rng(5)
+    pos = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 15.0, 14)), [15.0]])
+    assert channel._sum_grid(pos) is None
+    return pos
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10_000])
+def test_non_grid_field_runs_move_no_bit(monkeypatch, rows):
+    """The phasors of a non-equispaced layout, built in runs of any number of
+    (draw, user) rows, give the bits of one (M, L) @ (L, 1) product per row
+    over the whole (..., L, M) phasor tensor."""
+    pos = _aperiodic_16()
+    params = sample_wave_blocks(SEED, channel.STREAM_EVAL, range(9), 3, 20)
+    cases = {"stack": params, "row": [p[4, 1] for p in params]}
+    expected = {}
+    for name, (aoa, amp, phase, pol) in cases.items():
+        coeff = amp * np.exp(1j * phase) * np.cos(pol) * huygens_gain(aoa) / 0.37
+        phasors = np.exp(2.0 * np.pi * np.sin(aoa)[..., None] * (1j * pos))
+        expected[name] = (np.swapaxes(phasors, -1, -2) @ coeff[..., None])[..., 0]
+    monkeypatch.setattr(channel, "_CACHE_ENTRIES", rows * 20 * len(pos))
+    for name, waves in cases.items():
+        h = wave_field(pos, *waves, norm=0.37)
+        assert h.shape == expected[name].shape, name
+        assert h.tobytes() == expected[name].tobytes(), name
+
+
+def test_non_grid_field_memory_is_bounded():
+    """One sub-batch of the 16x2 L=20 comparison on a non-equispaced layout:
+    the whole (4096, 2, 20, 16) phasor tensor alone would take 40 MiB."""
+    pos = _aperiodic_16()
+    params = sample_wave_blocks(SEED, channel.STREAM_EVAL, range(4096), 2, 20)
+    tracemalloc.start()
+    try:
+        h = wave_field(pos, *params, norm=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (4096, 2, 16)
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_single_wave_row_has_constant_modulus():

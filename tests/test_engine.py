@@ -1,4 +1,5 @@
 import concurrent.futures
+import ctypes
 import inspect
 import math
 
@@ -333,3 +334,75 @@ def test_block_stats_merge_folds_every_field():
     np.testing.assert_allclose(halves.power.mean, whole.power.mean, rtol=1e-12)
     np.testing.assert_allclose(halves.power.variance, whole.power.variance, rtol=1e-10)
 
+
+
+# ------------------------------------------------------------ heap policy
+
+
+class _CFunction:
+    """Stand-in for a C function: records each call's arguments, returns ``result``."""
+
+    def __init__(self, result):
+        self.calls = []
+        self.result = result
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return self.result
+
+
+class _Libc:
+    """Stand-in for the C library's mallopt and malloc_trim."""
+
+    def __init__(self, result=1):
+        self.mallopt = _CFunction(result)
+        self.malloc_trim = _CFunction(1)
+
+
+@pytest.fixture
+def fresh_heap_policy():
+    engine._keep_freed_memory.cache_clear()
+    yield
+    engine._keep_freed_memory.cache_clear()
+
+
+def test_heap_policy_set_once_per_process(monkeypatch, fresh_heap_policy):
+    """M_MMAP_THRESHOLD (-3) at glibc's 32 MiB ceiling, then M_TRIM_THRESHOLD
+    (-1) above it, on the first run only; every run trims the heap it freed."""
+    libc = _Libc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    sc = _small_scenario(realizations=600)
+    run_simulation(sc)
+    assert libc.mallopt.calls == [(-3, 32 << 20), (-1, engine._TRIM_THRESHOLD)]
+    assert engine._TRIM_THRESHOLD > 32 << 20
+    compare_layouts(sc, default_layout(sc))
+    assert engine._keep_freed_memory() is libc.malloc_trim
+    assert len(libc.mallopt.calls) == 2
+    assert libc.malloc_trim.calls == [(0,), (0,)]
+
+
+def test_heap_policy_without_mallopt_is_a_no_op(monkeypatch, fresh_heap_policy):
+    libc = _Libc()
+    del libc.mallopt
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    assert engine._keep_freed_memory() is None
+    run_simulation(_small_scenario(realizations=64))
+    assert libc.malloc_trim.calls == []
+    engine._keep_freed_memory.cache_clear()
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert engine._keep_freed_memory() is None
+
+
+def test_heap_policy_stops_when_mallopt_fails(monkeypatch, fresh_heap_policy):
+    libc = _Libc(result=0)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    report = run_simulation(_small_scenario(realizations=64))
+    assert libc.mallopt.calls == [(-3, 32 << 20)]  # the trim threshold is not tried
+    assert libc.malloc_trim.calls == []
+    assert engine._keep_freed_memory() is None
+    assert len(libc.mallopt.calls) == 1
+    assert report.accepted_count + report.rejected_count == 64
