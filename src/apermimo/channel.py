@@ -215,10 +215,14 @@ def calibrate_normalization(
 
     Returns c = sqrt(mean ||H0||_F^2 / (K M)) over n_cal raw realizations
     drawn from the dedicated calibration streams; dividing channels by c
-    makes the ensemble-average per-element channel power 1. At L = 1 (a
-    single line-of-sight wave) each draw's value comes from its wave
-    coefficients alone, so c is the same for every layout and no field is
-    built. Deterministic for a fixed master seed, and bit-identical for any
+    makes the ensemble-average per-element channel power 1. The ensemble
+    value is the same for every layout: wave phases are independent and
+    uniform, so E|h_km|^2 = sum_l E|c_l|^2 wherever element m sits. The
+    engine therefore calibrates each run once, on the regular layout, and
+    shares that c across every layout it evaluates. At L = 1 (a single
+    line-of-sight wave) even the estimate is layout-free: each draw's value
+    comes from its wave coefficients alone, and no field is built.
+    Deterministic for a fixed master seed, and bit-identical for any
     ``mapper`` (``map``, or an executor's ``map`` over worker processes):
     tasks are fixed-size runs of draws, and c is taken over the per-draw
     values in order.

@@ -8,8 +8,12 @@ blocks; each block reduces to one mergeable ``BlockStats`` record (integer
 SINR histogram, mean/variance accumulators, rejection count, worst
 residual) and the main process folds the records in index order, making
 reports bit-reproducible for any worker count. A comparison is one run
-over two layouts: each sub-batch of draws is sampled once for both. More
-than one worker forks one pool per run, for calibration, then the blocks.
+over two layouts: each sub-batch of draws is sampled once for both. The
+channel normalization is a constant of the scenario, not of the layout:
+wave phases are independent and uniform, so E|h_km|^2 = sum_l E|c_l|^2 at
+every element position. A run therefore calibrates once, on the regular
+layout, and every layout it evaluates shares that norm. More than one
+worker forks one pool per run, for calibration, then the blocks.
 
 Channels whose Gram matrix fails the conditioning/residual screen are
 rejected and counted; a report whose rejection rate exceeds the budget
@@ -153,16 +157,16 @@ class ComparisonReport:
     regular: SimulationReport
 
 
-def _simulate_block(scenario, layouts, norms, start, stop, stream):
+def _simulate_block(scenario, layouts, norm, start, stop, stream):
     """Raw per-realization results for indices [start, stop), one dict per layout.
 
     Each sub-batch of draws is sampled once and then evaluated on every
-    layout with its own norm, so the layouts see common random numbers.
+    layout with the run's one norm, so the layouts see common random numbers.
     Regeneration contract: each realization's numbers depend only on
     (scenario, layout, norm, its index, stream), never on how realizations
     are grouped or which other layouts share the pass, so any block
     partition yields identical numbers and
-    ``_simulate_block(..., (layout,), (norm,), i, i + 1, ...)[0]`` replays
+    ``_simulate_block(..., (layout,), norm, i, i + 1, ...)[0]`` replays
     realization i of a full run exactly. Each dict holds linear "sinr"
     (n, K), per-element "power" beta |sum_k W[:, k]|^2 (n, M) with
     beta = 1 / tr (H H^H)^-1, "residual" max|HW - I| and the acceptance
@@ -181,7 +185,7 @@ def _simulate_block(scenario, layouts, norms, start, stop, stream):
             scenario.master_seed, stream, range(start + s, start + e), k,
             scenario.waves_per_ue,
         )
-        for layout, norm, blk in zip(layouts, norms, out):
+        for layout, blk in zip(layouts, out):
             h = channel.wave_field(layout.positions, *waves, norm)
             zf = _zf_solve(h)
             ok_se = zf.ok
@@ -267,7 +271,9 @@ def _keep_freed_memory():
 def _run(scenario, layouts, workers, stream) -> list:
     """One pass of every layout over the same draws: one report per layout.
 
-    Each public entry point calls it directly, so its warnings name their caller.
+    One calibration on the scenario's regular layout sets the norm of every
+    layout. Each public entry point calls it directly, so its warnings name
+    their caller.
     """
     for layout in layouts:
         if len(layout) != scenario.M:
@@ -285,10 +291,10 @@ def _run(scenario, layouts, workers, stream) -> list:
 
             ctx = multiprocessing.get_context("fork")
             mapper = stack.enter_context(ProcessPoolExecutor(workers, mp_context=ctx)).map
-        norms = [channel.calibrate_normalization(scenario, layout, kind=stream + 1,
-                                                 mapper=mapper) for layout in layouts]
+        norm = channel.calibrate_normalization(scenario, default_layout(scenario),
+                                               kind=stream + 1, mapper=mapper)
         args = [
-            (scenario, layouts, norms, s, min(s + BLOCK, total), stream)
+            (scenario, layouts, norm, s, min(s + BLOCK, total), stream)
             for s in range(0, total, BLOCK)
         ]
         # fold after the last block: merging between blocks raised the
@@ -300,7 +306,7 @@ def _run(scenario, layouts, workers, stream) -> list:
         # CLI's output text on top of the kept heap raised the 16x8 simulate peak 3 %
         trim_heap(0)
     reports = []
-    for i, (layout, norm) in enumerate(zip(layouts, norms)):
+    for i, layout in enumerate(layouts):
         stats = BlockStats(SinrCdf(), StreamingMoments(scenario.K), StreamingMoments(scenario.M))
         for arms in results:
             stats.merge(arms[i])
@@ -337,7 +343,11 @@ def run_simulation(
     """Calibrate, run all realizations, and fold statistics canonically.
 
     Evaluation draws come from stream kind ``stream`` and calibration draws
-    from ``stream + 1``. The report is bit-identical for any worker count:
+    from ``stream + 1``. The norm is calibrated on the regular layout
+    whatever ``layout`` is: the ensemble channel power per element does not
+    depend on where the element sits, so any layout estimates the same
+    constant, and the regular one sums its field the cheapest. The report
+    is bit-identical for any worker count:
     calibration chunks and blocks have fixed boundaries, each one's numbers
     depend only on its own indices, and the merge happens in index order on
     the calling process. ``workers > 1`` maps both through one forked
@@ -355,8 +365,10 @@ def compare_layouts(
 
     Each block of draws is sampled once and evaluated on both layouts
     (common random numbers), which shrinks the variance of the difference
-    estimates; ``workers > 1`` forks one pool for both. Each arm equals a
-    separate :func:`run_simulation` of its layout bit for bit. The caller
+    estimates. Both arms share one norm, calibrated once on the regular
+    layout, so the gains carry no difference between two calibrations;
+    ``workers > 1`` forks one pool for both. Each arm equals a separate
+    :func:`run_simulation` of its layout bit for bit. The caller
     synthesizes the aperiodic layout.
     """
     rep_aper, rep_reg = _run(

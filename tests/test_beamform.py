@@ -130,7 +130,7 @@ def test_downlink_sinr_general_precoder():
     )
     layout = default_layout(sc)
     norm = 1.3
-    blk = _simulate_block(sc, (layout,), (norm,), 0, sc.realizations, STREAM_EVAL)[0]
+    blk = _simulate_block(sc, (layout,), norm, 0, sc.realizations, STREAM_EVAL)[0]
     params = sample_wave_blocks(
         sc.master_seed, STREAM_EVAL, range(sc.realizations), sc.K, sc.waves_per_ue
     )

@@ -456,16 +456,15 @@ def test_single_wave_calibration_needs_no_field(monkeypatch):
     assert mapped == norms["regular"]
 
 
-@pytest.mark.parametrize("k, waves, m, expected", [
-    (19, 1, 505, 16), (2, 20, 121, 541), (8, 1, 16, 1024), (2, 20, 16, 4096),
+@pytest.mark.parametrize("k, m, expected", [
+    (19, 505, 16), (2, 121, 541), (8, 16, 1024), (2, 16, 4096),
 ], ids=["505x19-L1", "121x2-L20", "16x8-L1", "16x2-L20"])
-def test_sub_batch_stays_cache_sized(k, waves, m, expected):
+def test_sub_batch_stays_cache_sized(k, m, expected):
     """The largest field that fits 2**17 complex entries, within [16, 4096] draws."""
     sub = channel._sub_batch(k, m)
     assert sub == expected
-    assert sub == 16 or sub * k * m <= 2**17  # the field, unless the floor binds
-    assert sub == 4096 or (sub + 1) * k * m > 2**17
-    assert sub * k * waves * m <= channel.MAX_WAVES * 2**17  # non-regular phasor tensor
+    assert sub == 16 or sub * k * m <= channel._CACHE_ENTRIES  # the field, unless the floor binds
+    assert sub == 4096 or (sub + 1) * k * m > channel._CACHE_ENTRIES
 
 
 def test_calibration_self_consistency():

@@ -748,14 +748,14 @@ _GOLDEN_RUNS = {
         ["compare", "--M", "6", "--K", "2", "--waves-per-ue", "2", "--oversampling", "2",
          "--synthesis-realizations", "1200", "--realizations", "1200", "--seed", "14"],
         {
-            "cdf_aperiodic.csv": "65e374a5094b3adc6991daeb529f52357f306e8952919fe1d781eedb1dc4556b",
+            "cdf_aperiodic.csv": "ea20d8fe92b197f1dcbfdb10de9f7bbd3d8c9273d3536ce40cd4986d433cf826",
             "cdf_regular.csv": "3a89017a788d6054896f3c94aa587a4570b9fea9485f4673214e114b3c9863ec",
             "layout_aperiodic.csv": "393366c15d6a2122d94497fe2b6ad6a635c856f228a24e8030a02c7c02705e43",
             "layout_regular.csv": "1302ae728be9b2ba7cc1f49cd0f3d46fb0aad6a88b9169729524aa1cf88e1241",
-            "manifest.json": "20b1b730e255e741adad8436b3e056610d39ce5ad24a93a22c9bdaae5332af28",
+            "manifest.json": "f727ce1133536b1d15a617378c58c995f54d25c5b8def68066327600a8029e75",
             "power_aperiodic.csv": "a1b2b7f1c6ca94430f817cf51c032a1b090628b5220b9891ff768631a4470bb8",
             "power_regular.csv": "508e3dc4936968073fceddf56036925dd7b8c5a9e0765cfc59e7bd7c65f03f82",
-            "summary.json": "4f74372b057b6c8d56357b3e072ed25d46c758f12c9ab016c9f0a27ff55a68b6",
+            "summary.json": "6e09fbd7609b454b0c68ee64ff0e8fccba24542ba36c854b4cc935e9324cb54c",
         },
     ),
     # the first grid point (M=2, 0.1) is infeasible: the header scenario is

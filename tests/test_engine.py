@@ -77,7 +77,7 @@ def test_scenario_defaults():
 
 def _replay(sc, layout, norm, index):
     """Realization ``index`` regenerated alone, as a dict of length-1 arrays."""
-    return _simulate_block(sc, (layout,), (norm,), index, index + 1, STREAM_EVAL)[0]
+    return _simulate_block(sc, (layout,), norm, index, index + 1, STREAM_EVAL)[0]
 
 
 def test_realization_is_reproducible():
@@ -174,10 +174,10 @@ def test_simulate_block_independent_of_sub_batch(monkeypatch, link, waves, posit
     """Every per-draw array of a block is bit-identical for any sub-batch size."""
     sc = _small_scenario(link=link, waves_per_ue=waves, K=3)
     layout = default_layout(sc) if positions is None else ArrayLayout(positions)
-    blk = _simulate_block(sc, (layout,), (1.0,), 0, BLOCK, STREAM_EVAL)[0]
+    blk = _simulate_block(sc, (layout,), 1.0, 0, BLOCK, STREAM_EVAL)[0]
     for sub in (1, 7, 4096):
         monkeypatch.setattr(channel, "_sub_batch", lambda k, m, sub=sub: sub)
-        blk_sub = _simulate_block(sc, (layout,), (1.0,), 0, BLOCK, STREAM_EVAL)[0]
+        blk_sub = _simulate_block(sc, (layout,), 1.0, 0, BLOCK, STREAM_EVAL)[0]
         for key in blk:
             np.testing.assert_array_equal(blk_sub[key], blk[key], err_msg=f"{key} {sub}")
 
@@ -268,17 +268,28 @@ _APERIODIC_8 = ArrayLayout((0.0, 0.9, 2.2, 3.0, 4.1, 4.9, 6.3, 7.0))
 
 def test_comparison_samples_each_draw_once_on_one_pool(monkeypatch):
     sc = _small_scenario(realizations=BLOCK + 123, waves_per_ue=3)
-    streams = []
+    streams = {STREAM_EVAL: 0, STREAM_EVAL + 1: 0}
     sample = channel.sample_wave_blocks
 
     def counting(master_seed, kind, indices, num_users, num_waves):
-        if kind == STREAM_EVAL:
-            streams.append(len(indices) * num_users)
+        streams[kind] += len(indices) * num_users
         return sample(master_seed, kind, indices, num_users, num_waves)
 
+    calibrations = []
+    calibrate = channel.calibrate_normalization
+
+    def counting_calibration(scenario, layout, *args, **kwargs):
+        calibrations.append(layout)
+        return calibrate(scenario, layout, *args, **kwargs)
+
     monkeypatch.setattr(channel, "sample_wave_blocks", counting)
+    monkeypatch.setattr(channel, "calibrate_normalization", counting_calibration)
     compare_layouts(sc, _APERIODIC_8)
-    assert sum(streams) == sc.realizations * sc.K
+    assert streams[STREAM_EVAL] == sc.realizations * sc.K
+    # one calibration per comparison, on the regular layout
+    assert streams[STREAM_EVAL + 1] == channel.DEFAULT_CALIBRATION_DRAWS * sc.K
+    assert len(calibrations) == 1
+    np.testing.assert_array_equal(calibrations[0].positions, default_layout(sc).positions)
 
     pools = []
 
@@ -290,16 +301,19 @@ def test_comparison_samples_each_draw_once_on_one_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     compare_layouts(sc, _APERIODIC_8, workers=2)
     assert len(pools) == 1
+    assert len(calibrations) == 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_comparison_arms_equal_separate_runs(workers):
-    # at L = 20 a non-equispaced layout has its own norm, so the arms differ
+    # at L = 20 the field depends on the layout, but the norm does not: every
+    # run calibrates on the regular layout, so both arms share its norm
     sc = _small_scenario(waves_per_ue=20, realizations=BLOCK + 123)
     comp = compare_layouts(sc, _APERIODIC_8, workers=workers)
-    assert comp.aperiodic.norm != comp.regular.norm
+    regular = run_simulation(sc, default_layout(sc))
+    assert comp.aperiodic.norm == comp.regular.norm == regular.norm
     _assert_same_report(comp.aperiodic, run_simulation(sc, _APERIODIC_8))
-    _assert_same_report(comp.regular, run_simulation(sc, default_layout(sc)))
+    _assert_same_report(comp.regular, regular)
 
 
 def test_invalid_comparison_warns_at_the_caller():
@@ -323,9 +337,9 @@ def test_zero_synthesis_realizations_is_not_the_default():
 def test_block_stats_merge_folds_every_field():
     sc = _small_scenario(realizations=600)
     layout = default_layout(sc)
-    whole = _block_stats((sc, (layout,), (1.0,), 0, 600, STREAM_EVAL))[0]
-    halves = _block_stats((sc, (layout,), (1.0,), 0, 250, STREAM_EVAL))[0]
-    halves.merge(_block_stats((sc, (layout,), (1.0,), 250, 600, STREAM_EVAL))[0])
+    whole = _block_stats((sc, (layout,), 1.0, 0, 600, STREAM_EVAL))[0]
+    halves = _block_stats((sc, (layout,), 1.0, 0, 250, STREAM_EVAL))[0]
+    halves.merge(_block_stats((sc, (layout,), 1.0, 250, 600, STREAM_EVAL))[0])
     np.testing.assert_array_equal(halves.cdf.counts, whole.cdf.counts)
     assert halves.rejected == whole.rejected
     assert halves.max_residual == whole.max_residual

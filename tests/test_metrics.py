@@ -47,7 +47,7 @@ def _two_block_run():
     sc = ScenarioConfig(M=8, K=2, waves_per_ue=3, realizations=BLOCK + 500, master_seed=16)
     layout = default_layout(sc)
     report = run_simulation(sc, layout)
-    blk = _simulate_block(sc, (layout,), (report.norm,), 0, sc.realizations, STREAM_EVAL)[0]
+    blk = _simulate_block(sc, (layout,), report.norm, 0, sc.realizations, STREAM_EVAL)[0]
     assert report.accepted_count == int(blk["ok"].sum())
     return sc, layout, report, blk
 
