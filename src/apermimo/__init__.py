@@ -9,14 +9,7 @@ aperture.
 
 __version__ = "1.0.0"
 
-from .arrays import (
-    ArrayLayout,
-    huygens_gain,
-    read_layout_csv,
-    regular_layout,
-)
-from .beamform import COND_LIMIT, RESIDUAL_LIMIT
-from .channel import calibrate_normalization
+from .arrays import ArrayLayout, read_layout_csv, regular_layout
 from .engine import (
     ComparisonReport,
     ScenarioConfig,
@@ -39,18 +32,14 @@ from .synthesis import (
 
 __all__ = [
     "ArrayLayout",
-    "COND_LIMIT",
     "ComparisonReport",
     "DensityProfile",
-    "RESIDUAL_LIMIT",
     "ScenarioConfig",
     "SimulationReport",
     "SinrCdf",
     "StreamingMoments",
-    "calibrate_normalization",
     "compare_layouts",
     "density_taper",
-    "huygens_gain",
     "power_spread",
     "psc",
     "read_layout_csv",

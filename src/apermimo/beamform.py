@@ -12,14 +12,18 @@ SINR_k = snr / Re X_kk, and the receive combiner is the conjugate of W^H,
 so both links load the array elements identically.
 
 Draws too ill-conditioned to invert trustworthily are rejected rather
-than silently producing garbage: the acceptance rule is cond(G) <= 1e12
-and a verified reconstruction residual max|H W - I| <= 1e-9, taken in
-float64 on the rounded W. Inverting G leaves W with about eps cond(G)
-of error, so from cond(G) ~ 1e7 on some slices miss the gate. The QR
-rescue (_refine_inverse) leaves about eps sqrt(cond(G)), so every
-rescued slice within the condition limit passes it (largest residual
-measured 3.4e-10, at cond(G) up to 9.7e11), and the condition screen
-decides every rejection seen in practice. That screen has two stages:
+than silently producing garbage: the acceptance rule, one for both
+links, is cond(G) <= 1e12, a verified reconstruction residual
+max|H W - I| <= 1e-9, taken in float64 on the rounded W, and every noise
+gain positive. A rejected slice carries zero weights and beta and
+infinite noise gains, so both SINR formulas read 0 on it.
+
+Inverting G leaves W with about eps cond(G) of error, so from
+cond(G) ~ 1e7 on some slices miss the gate. The QR rescue
+(_refine_inverse) leaves about eps sqrt(cond(G)), so every rescued slice
+within the condition limit passes it (largest residual measured 3.4e-10,
+at cond(G) up to 9.7e11), and the condition screen decides every
+rejection seen in practice. That screen has two stages:
 cond(G) <= ||G||_F ||X||_F, so a slice whose bound clears the limit
 needs no eigendecomposition. The bound is taken on the X the solver
 returns, which is garbage for a numerically singular G; its Frobenius
@@ -39,7 +43,7 @@ class ZfBatch(NamedTuple):
 
     weights: np.ndarray  # (..., M, K), zeroed where not ok
     beta: np.ndarray  # (...,) 1 / tr X, zero where not ok
-    noise_gain: np.ndarray  # (..., K) Re diag X, garbage where not ok
+    noise_gain: np.ndarray  # (..., K) Re diag X, +inf where not ok
     residual: np.ndarray  # (...,) max |H W - I|, +inf where cond(G) fails
     ok: np.ndarray  # (...,) bool acceptance mask
 
@@ -74,7 +78,9 @@ def _zf_solve(h: np.ndarray) -> ZfBatch:
     bad draw cannot poison the batch, and comes back with ok=False, zeroed
     weights and beta, and an infinite residual. Slices that pass but miss
     the residual tolerance are solved again by the QR rescue; whatever
-    still fails the (recomputed) residual check is rejected.
+    still fails the (recomputed) residual check, or has a noise gain that
+    is not positive, is rejected. Every rejected slice gets infinite
+    noise gains.
     """
     h = np.asarray(h)
     if h.ndim < 3:
@@ -109,7 +115,8 @@ def _zf_solve(h: np.ndarray) -> ZfBatch:
         residual[bad] = np.abs(h_bad @ w_bad - eye).max(axis=(-2, -1))
     beta = 1.0 / noise_gain.sum(axis=-1)
     residual[~ok] = np.inf
-    ok &= residual <= RESIDUAL_LIMIT
+    ok &= (residual <= RESIDUAL_LIMIT) & (noise_gain.min(axis=-1) > 0.0)
     w[~ok] = 0.0
     beta[~ok] = 0.0
+    noise_gain[~ok] = np.inf
     return ZfBatch(w, beta, noise_gain, residual, ok)

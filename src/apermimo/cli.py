@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, engine, synthesis
+from . import __version__, engine, metrics, synthesis
 from .arrays import layout_csv_text, read_layout_csv
 from .channel import MAX_WAVES
 from .engine import ScenarioConfig
@@ -194,12 +194,7 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.9g}"
+    return f"{float(value):.9g}"
 
 
 def _jnum(value):
@@ -236,7 +231,7 @@ def _simulation_outputs(report: engine.SimulationReport, suffix: str = ""):
     cdf = report.sinr_cdf
     power = report.power
     summary = _record(report, _REPORT_FIELDS)
-    summary["sinr_p05_db"] = _jnum(cdf.percentile(0.05))
+    summary["sinr_p05_db"] = _jnum(cdf.percentile(metrics.GAIN_PERCENTILE))
     files = {
         f"cdf{suffix}.csv": _csv(("sinr_db", "cdf"), cdf.bin_centers, cdf.cdf),
         f"power{suffix}.csv": _csv(

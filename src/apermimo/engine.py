@@ -170,8 +170,7 @@ def _simulate_block(scenario, layouts, norm, start, stop, stream):
     realization i of a full run exactly. Each dict holds linear "sinr"
     (n, K), per-element "power" beta |sum_k W[:, k]|^2 (n, M) with
     beta = 1 / tr (H H^H)^-1, "residual" max|HW - I| and the acceptance
-    mask "ok" (condition screen, residual gate and, on the uplink, a
-    positive noise gain).
+    mask "ok" (condition screen, residual gate and a positive noise gain).
     """
     k = scenario.K
     n = stop - start
@@ -188,19 +187,14 @@ def _simulate_block(scenario, layouts, norm, start, stop, stream):
         for layout, blk in zip(layouts, out):
             h = channel.wave_field(layout.positions, *waves, norm)
             zf = _zf_solve(h)
-            ok_se = zf.ok
             if scenario.link == "uplink":
-                # the inverse diagonal is positive for any trustworthy solve;
-                # treat a nonpositive entry as one more reason to reject
-                ok_se = ok_se & (zf.noise_gain.min(axis=-1) > 0.0)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    blk["sinr"][s:e] = snr / zf.noise_gain
+                blk["sinr"][s:e] = snr / zf.noise_gain
             else:
                 blk["sinr"][s:e] = (zf.beta * snr)[:, None]
             # sum over users as one batched matrix-vector product, not a strided reduction
             blk["power"][s:e] = zf.beta[:, None] * np.abs(zf.weights @ np.ones(k)) ** 2
             blk["residual"][s:e] = zf.residual
-            blk["ok"][s:e] = ok_se
+            blk["ok"][s:e] = zf.ok
     return out
 
 

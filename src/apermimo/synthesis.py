@@ -45,21 +45,14 @@ class DensityProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        val = np.asarray(self.values, dtype=float)
-        if pos.ndim != 1 or pos.size < 2 or pos.shape != val.shape:
-            raise ValueError("need matching 1-D position/value arrays, length >= 2")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(val))):
-            raise ValueError("profile samples must be finite")
-        if pos[0] != 0.0 or not np.all(np.diff(pos) > 0.0):
-            raise ValueError("positions must ascend strictly from 0")
-        if np.any(val < 0.0):
-            raise ValueError("density values must be nonnegative")
+        pos = ArrayLayout(self.positions).positions  # a layout's node rules
+        val = np.asarray(self.values, dtype=float).copy()
+        if val.shape != pos.shape:
+            raise ValueError("need one density value per position")
+        if not (np.all(np.isfinite(val)) and np.all(val >= 0.0)):
+            raise ValueError("density values must be finite and nonnegative")
         if not np.any(val > 0.0):
             raise DegenerateProfileError("density is identically zero")
-        pos = pos.copy()
-        val = val.copy()
-        pos.flags.writeable = False
         val.flags.writeable = False
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "values", val)

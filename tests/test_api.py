@@ -4,18 +4,14 @@ import apermimo
 
 PUBLIC_NAMES = [
     "ArrayLayout",
-    "COND_LIMIT",
     "ComparisonReport",
     "DensityProfile",
-    "RESIDUAL_LIMIT",
     "ScenarioConfig",
     "SimulationReport",
     "SinrCdf",
     "StreamingMoments",
-    "calibrate_normalization",
     "compare_layouts",
     "density_taper",
-    "huygens_gain",
     "power_spread",
     "psc",
     "read_layout_csv",

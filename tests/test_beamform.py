@@ -30,7 +30,8 @@ def _assert_matches_oracle(h, res):
     comes back with reconstructs I within RESIDUAL_LIMIT; otherwise it
     carries the finite residual that failed the gate. Accepted slices have
     beta = 1 / ||W||_F^2 up to K * RESIDUAL_LIMIT (tr(W^H W) = tr X + tr(X R)
-    for the residual R = H W - I), rejected ones zero weights and beta.
+    for the residual R = H W - I), rejected ones zero weights and beta and
+    infinite noise gains.
     """
     k = h.shape[-2]
     cond_ok = _oracle_cond_ok(h)
@@ -47,6 +48,7 @@ def _assert_matches_oracle(h, res):
         res.beta[res.ok] * power[res.ok], 1.0, rtol=0, atol=k * RESIDUAL_LIMIT
     )
     assert np.all(res.weights[~res.ok] == 0.0) and np.all(res.beta[~res.ok] == 0.0)
+    assert np.all(res.noise_gain[~res.ok] == np.inf)
 
 
 def test_zf_reconstructs_identity():
@@ -216,6 +218,19 @@ def test_near_collision_refinement_keeps_residual_gate():
         _assert_matches_oracle(h[None], res)
     assert _zf_solve(_steering_pair(1e-5)[None]).ok[0]  # the rescue recovers this
     assert _zf_solve(_steering_pair(5e-7)[None]).ok[0]  # cond(G) ~ 9.6e10
+
+
+def test_nonpositive_noise_gain_rejected(negated_rescue_gain):
+    """A rescued slice with a nonpositive noise gain is rejected like any
+    other untrustworthy draw: zero weights and beta, infinite noise gains."""
+    rng = np.random.default_rng(11)
+    res = _zf_solve(np.stack([_random_channel(rng, 2, 57), _steering_pair(1e-5)]))
+    assert negated_rescue_gain == [1]
+    np.testing.assert_array_equal(res.ok, [True, False])
+    assert res.residual[1] <= RESIDUAL_LIMIT  # the gain alone rejects it
+    assert np.all(res.weights[1] == 0.0) and res.beta[1] == 0.0
+    assert np.all(res.noise_gain[1] == np.inf)
+    assert np.all(np.isfinite(res.noise_gain[0])) and np.all(res.noise_gain[0] > 0.0)
 
 
 def test_hopeless_collision_rejected():

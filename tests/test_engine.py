@@ -215,6 +215,21 @@ def test_uplink_downlink_share_power_statistics():
     np.testing.assert_allclose(up.power.mean, down.power.mean, rtol=1e-12)
 
 
+def test_links_reject_the_same_draws(negated_rescue_gain):
+    """Acceptance belongs to the solve, so a rescued draw with a nonpositive
+    noise gain is rejected on both links, and with SINR 0 on each."""
+    blocks = [
+        _simulate_block(ScenarioConfig(M=16, K=8, link=link), (regular_layout(16, 15.0),),
+                        1.0, 0, 1024, STREAM_EVAL)[0]
+        for link in ("uplink", "downlink")
+    ]
+    up, down = (blk["ok"] for blk in blocks)
+    assert sum(negated_rescue_gain) > 0
+    np.testing.assert_array_equal(up, down)
+    for blk in blocks:
+        assert np.all(blk["sinr"][~blk["ok"]] == 0.0)
+
+
 def test_report_residuals_within_gate():
     rep = run_simulation(_small_scenario(realizations=5_000))
     assert rep.max_residual <= 1e-9

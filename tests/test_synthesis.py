@@ -126,8 +126,29 @@ def test_profile_validation():
         DensityProfile(positions=np.array([0.0, 1.0, 0.5]), values=np.ones(3))
     with pytest.raises(ValueError):
         DensityProfile(positions=np.array([0.0, 1.0]), values=np.array([-0.1, 1.0]))
+    # node grids that ArrayLayout refuses: not finite, not 1-D, a single node
+    with pytest.raises(ValueError):
+        DensityProfile(positions=np.array([0.0, np.nan, 2.0]), values=np.ones(3))
+    with pytest.raises(ValueError):
+        DensityProfile(positions=np.array([[0.0, 1.0]]), values=np.ones((1, 2)))
+    with pytest.raises(ValueError):
+        DensityProfile(positions=np.array([0.0]), values=np.ones(1))
+    with pytest.raises(ValueError):
+        DensityProfile(positions=np.array([0.0, 1.0]), values=np.ones(3))
+    with pytest.raises(ValueError):
+        DensityProfile(positions=np.array([0.0, 1.0]), values=np.array([np.inf, 1.0]))
     with pytest.raises(DegenerateProfileError):
         DensityProfile(positions=np.array([0.0, 1.0]), values=np.zeros(2))
+
+
+def test_profile_holds_read_only_copies():
+    x, v = np.array([0.0, 1.0, 2.0]), np.ones(3)
+    profile = DensityProfile(positions=x, values=v)
+    x[1], v[1] = 0.5, 7.0
+    np.testing.assert_array_equal(profile.positions, [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(profile.values, np.ones(3))
+    assert not profile.positions.flags.writeable
+    assert not profile.values.flags.writeable
 
 
 # ------------------------------------------------------------- inversion
