@@ -71,9 +71,15 @@ def sample_wave_blocks(master_seed, kind, indices, num_users, num_waves):
     2c and 2c + 1 as the 53-bit fractions (w0 >> 5, w1 >> 6), (w2 >> 5,
     w3 >> 6). Of each pair's 4L uniforms, L set the angles of arrival, then L
     each the amplitudes, phases and polarizations. Any (r, k) regenerates
-    alone, so draws do not depend on how realizations are grouped.
+    alone, so draws do not depend on how realizations are grouped. The last
+    counter word holds r >> 32 in 28 bits and kind in 4, so a kind outside
+    [0, 16) or an index of 2^60 or more raises ValueError.
     """
+    if not 0 <= kind < 16:
+        raise ValueError(f"stream kind must be in [0, 16), got {kind}")
     r = np.asarray(indices, dtype=np.uint64).reshape(-1, 1, 1)
+    if r.size and r.max() >= 1 << 60:
+        raise ValueError(f"realization index {int(r.max())} is 2^60 or more")
     ue = np.arange(num_users, dtype=np.uint64).reshape(-1, 1)
     calls = np.arange(2 * num_waves, dtype=np.uint64)
     key = (master_seed & 0xFFFFFFFF, master_seed >> 32)

@@ -15,10 +15,11 @@ Out: each command returns its result, and one runner times it, writes it
 and prints one line. Field-name tuples form the emission table: the
 scenario, simulation report and comparison fields that ``_record`` turns
 into JSON values, and ``_ROW_FIELDS``, the order of each sweep row tuple.
-``_csv`` writes columns, numbers at 9 significant digits, so a rerun
-reproduces every file byte for byte (layout CSVs keep full precision, to
-round-trip exactly). manifest.json lists each file's SHA-256 digest and
-is the only file with wall-clock timing.
+``_csv`` writes columns, each cell formatted by its column's dtype (floats
+at 9 significant digits), so a rerun reproduces every file byte for byte
+(layout CSVs keep full precision, to round-trip exactly). manifest.json
+lists each file's SHA-256 digest and is the only file with wall-clock
+timing.
 
 Exit codes: 0 success, 2 configuration errors (argparse's own and an
 unreadable or mismatched --layout among them), 3 runtime or I/O errors,
@@ -51,25 +52,18 @@ class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
 
 
-def _parse_int(name, low=None):
-    def parse(text: str) -> int:
+def _parse_number(convert, name, low=None):
+    """A parser of one key's text through ``convert`` (int or float), at least ``low``."""
+    expected = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise ConfigError(f"key '{name}': expected an integer, got {text!r}")
+            raise ConfigError(f"key '{name}': expected {expected}, got {text!r}")
         if low is not None and value < low:
             raise ConfigError(f"key '{name}': must be at least {low}, got {value}")
         return value
-
-    return parse
-
-
-def _parse_float(name):
-    def parse(text: str) -> float:
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"key '{name}': expected a number, got {text!r}")
 
     return parse
 
@@ -78,26 +72,26 @@ def _parse_float(name):
 # keys and the scenario's emitted fields, in this order. Their parsers only
 # convert text; ScenarioConfig checks the ranges.
 _SCENARIO_KEYS = {
-    "M": ("--M", _parse_int("M"), "base-station element count"),
-    "K": ("--K", _parse_int("K"), "number of simultaneous users"),
-    "waves_per_ue": ("--waves-per-ue", _parse_int("waves_per_ue"),
+    "M": ("--M", _parse_number(int, "M"), "base-station element count"),
+    "K": ("--K", _parse_number(int, "K"), "number of simultaneous users"),
+    "waves_per_ue": ("--waves-per-ue", _parse_number(int, "waves_per_ue"),
                      f"plane waves per user, 1..{MAX_WAVES}"),
-    "aperture": ("--aperture", _parse_float("aperture"), "aperture in wavelengths"),
-    "snr_db": ("--snr-db", _parse_float("snr_db"), "average per-user SNR in dB"),
-    "realizations": ("--realizations", _parse_int("realizations"),
+    "aperture": ("--aperture", _parse_number(float, "aperture"), "aperture in wavelengths"),
+    "snr_db": ("--snr-db", _parse_number(float, "snr_db"), "average per-user SNR in dB"),
+    "realizations": ("--realizations", _parse_number(int, "realizations"),
                      "Monte-Carlo repetitions"),
-    "master_seed": ("--seed", _parse_int("master_seed"), "master seed (64-bit)"),
+    "master_seed": ("--seed", _parse_number(int, "master_seed"), "master seed (64-bit)"),
     "link": ("--link", str, "link direction: uplink or downlink"),
 }
 # Synthesis keys are also the synthesize summary's fields; _synthesis_settings
 # puts the given flags over the defaults. No other code checks them before
 # work starts, so their parsers keep the lower bounds.
 _SYNTHESIS_KEYS = {
-    "dense_oversampling": ("--oversampling", _parse_int("oversampling", 2),
+    "dense_oversampling": ("--oversampling", _parse_number(int, "oversampling", 2),
                            "dense reference elements per wavelength (default "
                            f"{synthesis.DEFAULT_OVERSAMPLING})"),
     "synthesis_realizations": ("--synthesis-realizations",
-                               _parse_int("synthesis_realizations", 1),
+                               _parse_number(int, "synthesis_realizations", 1),
                                "realizations for the dense reference run"),
 }
 
@@ -188,23 +182,13 @@ _COMPARISON_FIELDS = ("sinrg_db", "psc_db", "sr_gain_fraction")
 _ROW_FIELDS = ("M", "K", "crowdedness", "sinrg_db", "psc_db", "sr_gain_fraction", "valid")
 
 
-def _fmt(value) -> str:
-    """Fixed 9-significant-digit text for CSV cells."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.9g}"
-
-
 def _jnum(value):
     """JSON-safe value: a float rounded to 9 significant digits (text when not
     finite); ints, bools and strings as they are."""
     if not isinstance(value, float):
         return value
-    if not math.isfinite(value):
-        return _fmt(value)
-    return float(f"{value:.9g}")
+    text = f"{value:.9g}"
+    return float(text) if math.isfinite(value) else text
 
 
 def _record(obj, names) -> dict:
@@ -212,17 +196,18 @@ def _record(obj, names) -> dict:
     return {name: _jnum(getattr(obj, name)) for name in names}
 
 
-def _csv(header, *columns) -> str:
-    """CSV text: the header names, then one line of ``_fmt`` cells per row of the columns.
+# CSV cell format by dtype kind: floats at 9 significant digits ("nan",
+# "inf", "-inf" when not finite), integers in full, booleans as words
+_CELL_FORMATS = {"f": "%.9g", "i": "%d", "b": "%s"}
 
-    A float array column skips ``_fmt``: "%.9g" over its ``tolist()`` gives
-    the same text for finite values, nan and +-inf, in about a quarter of the time.
-    """
-    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
-    line = ",".join("%.9g" if f else "%s" for f in floats)
-    cells = [c.tolist() if f else map(_fmt, c) for c, f in zip(columns, floats)]
+
+def _csv(header, *columns) -> str:
+    """CSV text: the header names, then one line per row of the columns."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join(_CELL_FORMATS[c.dtype.kind] for c in columns)
+    cells = [np.where(c, "true", "false") if c.dtype.kind == "b" else c for c in columns]
     lines = [",".join(header)]
-    lines.extend(line % row for row in zip(*cells))
+    lines.extend(line % row for row in zip(*(c.tolist() for c in cells)))
     return "\n".join(lines) + "\n"
 
 

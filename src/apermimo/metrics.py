@@ -99,8 +99,9 @@ class SinrCdf:
 
     Bins span [-40, 60] dB at 0.01 dB width; samples outside the range are
     clamped into the edge bins so total mass always equals the number of
-    accepted samples. Counts are integers, so merging is exact and
-    order-independent.
+    accepted samples. A percentile that lands in an edge bin is therefore
+    not measured, only bounded, and reads NaN. Counts are integers, so
+    merging is exact and order-independent.
     """
 
     __slots__ = ("counts",)
@@ -139,7 +140,8 @@ class SinrCdf:
         return np.cumsum(self.counts) / n
 
     def percentile(self, p: float) -> float:
-        """Smallest bin center whose cumulative mass reaches fraction p."""
+        """Smallest bin center whose cumulative mass reaches fraction p; NaN
+        when that bin is the first or the last, which hold the clamped samples."""
         if not 0.0 < p < 1.0:
             raise ValueError(f"percentile fraction must be in (0, 1), got {p}")
         n = self.count
@@ -147,7 +149,8 @@ class SinrCdf:
             raise InvalidStateError("empty SINR histogram")
         cum = np.cumsum(self.counts)
         idx = int(np.searchsorted(cum, p * n, side="left"))
-        idx = min(idx, CDF_NUM_BINS - 1)
+        if idx == 0 or idx >= CDF_NUM_BINS - 1:
+            return math.nan
         return float(CDF_MIN_DB + (idx + 0.5) * CDF_BIN_WIDTH_DB)
 
 
@@ -178,7 +181,8 @@ def sinr_gain(cdf_aperiodic: SinrCdf, cdf_regular: SinrCdf) -> float:
     """SINR gain of one array over another, in dB.
 
     Difference of the 5th-percentile SINRs (both CDFs must be built from
-    runs at 0 dB SNR for the standard figure of merit).
+    runs at 0 dB SNR for the standard figure of merit); NaN when either
+    percentile lies in a clamped edge bin.
     """
     for name, cdf in (("aperiodic", cdf_aperiodic), ("regular", cdf_regular)):
         if cdf.count < MIN_GAIN_SAMPLES:

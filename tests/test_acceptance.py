@@ -6,9 +6,9 @@ that pytest echoes in the "acceptance criteria" section after the run.
 Hard requirements (exactness, determinism, trends, plumbing, and every
 statistical band the implementation meets with margin) are asserted.
 Three absolute SINR-gain bands are reported as soft targets without
-assertion because the wave-amplitude model leaves them out of reach for
-any layout at those sizes; the measured values, the analysis, and the
-layout-independent upper-bound experiment live in the project notes.
+assertion: the synthesized layouts miss them at the fixture seed, and
+nothing here shows them to be out of reach (a zero-forcing bound on the
+5th-percentile SINR leaves headroom at 8x2 and at M=64 with 10% of users).
 The trends those figures belong to are still asserted.
 """
 
@@ -248,7 +248,7 @@ def test_criterion_3_environment_trend(env_trend_compares):
         "band met"
         if band_ok
         else f"SOFT MISS band: L=1 SINRG {gains[1]:+.2f} dB outside [2, 4] "
-        f"(amplitude-tail cap; documented in the project notes)"
+        f"(missed at the fixture seed, not shown unreachable)"
     )
     line = (
         f"{'PASS' if rich_ok and monotone_ok else 'FAIL'} environment trend "
@@ -274,7 +274,7 @@ def test_criterion_4_size_scaling(compare_16x4, compare_16x8):
         "16x4 band met"
         if band4_ok
         else f"SOFT MISS band: 16x4 SINRG {g4:+.2f} dB outside [0.5, 2] "
-        f"(documented in the project notes)"
+        f"(missed at the fixture seed, not shown unreachable)"
     )
     line = (
         f"{'PASS' if g8 >= 8.0 else 'FAIL'} size scaling: 16x8 SINRG "
@@ -373,7 +373,7 @@ def test_criterion_8_crowdedness_sweep(sweep_rows):
         if level_ok
         else f"SOFT MISS levels: M=64 SINRG {g64[0.10]:+.2f} dB at 10% "
         f"(target >= 2) and {g64[0.30]:+.2f} dB at 30% (target >= 10) "
-        f"(documented in the project notes)"
+        f"(missed at the fixture seed, not shown unreachable)"
     )
     line = (
         f"{'PASS' if trend_ok and psc_ok else 'FAIL'} crowdedness sweep: SINRG "

@@ -123,13 +123,25 @@ def test_wave_blocks_independent_of_grouping(k, waves):
 
 def test_wave_parameters_in_half_open_ranges():
     """Uniforms lie in [0, 1), so no parameter reaches its upper edge."""
-    indices = np.r_[0:5000, 2**32 - 5 : 2**32 + 5, 2**60 : 2**60 + 10]
+    indices = np.r_[0:5000, 2**32 - 5 : 2**32 + 5, 2**60 - 10 : 2**60]
     upper = (np.pi / 3, 1.0, 2 * np.pi, np.pi)
     lower = (-np.pi / 3, 0.0, 0.0, 0.0)
     for seed in (0, SEED, 2**64 - 1):
         params = sample_wave_blocks(seed, channel.STREAM_EVAL, indices, 4, 2)
         for p, lo, hi in zip(params, lower, upper):
             assert p.min() >= lo and p.max() < hi
+
+
+def test_wave_blocks_refuse_counters_outside_the_layout():
+    """The last counter word is r >> 32 | kind << 28: kind takes 4 bits and
+    r >> 32 the 28 below them."""
+    for kind in (-1, 16):
+        with pytest.raises(ValueError, match="stream kind"):
+            sample_wave_blocks(SEED, kind, range(4), 2, 1)
+    with pytest.raises(ValueError, match="2\\^60"):
+        sample_wave_blocks(SEED, channel.STREAM_EVAL, [3, 2**60], 2, 1)
+    # the largest kind and index still draw
+    assert sample_wave_blocks(SEED, 15, [2**60 - 1], 2, 1)[0].shape == (1, 2, 1)
 
 
 @pytest.mark.parametrize(

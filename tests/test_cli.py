@@ -201,6 +201,36 @@ def test_cdf_csv_bytes(tmp_path, sim_args):
     assert _read(out / "cdf.csv") == expected.encode()
 
 
+@pytest.mark.parametrize("snr_db", ["-60", "100"])
+def test_percentile_in_a_clamped_edge_bin_reads_nan(tmp_path, sim_args, snr_db):
+    """At -60 dB SNR the 5th percentile lies below the histogram's -40 dB
+    floor, at 100 dB above its 60 dB ceiling: the edge bin's centre
+    (-39.995 or 59.995) is a bound, not a measurement."""
+    out = tmp_path / "run"
+    assert _run(sim_args + ["--snr-db", snr_db, "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["sinr_p05_db"] == "nan"
+
+
+def test_csv_cells_by_column_dtype():
+    """Floats at 9 significant digits with nan and +-inf as words, integers in
+    full, booleans as true/false; sweep rows arrive as tuples of Python values."""
+    text = cli._csv(
+        ("x", "n", "ok", "g"),
+        np.array([np.nan, np.inf, -np.inf, 1 / 3]),
+        range(2**40, 2**40 + 4),
+        (True, False, np.True_, False),
+        (float("nan"), -0.5, 2.0, 1e-12),
+    )
+    assert text == (
+        "x,n,ok,g\n"
+        "nan,1099511627776,true,nan\n"
+        "inf,1099511627777,false,-0.5\n"
+        "-inf,1099511627778,true,2\n"
+        "0.333333333,1099511627779,false,1e-12\n"
+    )
+
+
 def test_manifest_digests_match_files(tmp_path, sim_args):
     out = tmp_path / "run"
     assert _run(sim_args + ["--out", str(out)]) == EXIT_OK

@@ -319,6 +319,45 @@ def test_comparison_samples_each_draw_once_on_one_pool(monkeypatch):
     assert len(calibrations) == 2
 
 
+def test_worker_pool_is_capped_at_the_task_count(monkeypatch):
+    """A forked pool starts every process at its first task, so a run asks for
+    no more workers than it has blocks or calibration tasks."""
+    pools = []
+
+    class InProcessPool:
+        """Records the pool size and maps in this process: starts nothing."""
+
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    sc = _small_scenario(realizations=BLOCK + 1)
+    report = run_simulation(sc, workers=10_000)
+    calibration_tasks = -(-channel.DEFAULT_CALIBRATION_DRAWS // channel._CALIBRATION_TASK)
+    assert pools == [calibration_tasks] == [20]
+    _assert_same_report(report, run_simulation(sc))
+    run_simulation(_small_scenario(realizations=20 * BLOCK + 1, M=2, K=1), workers=10_000)
+    assert pools[1] == 21
+
+
+def test_stream_past_the_counter_layout_raises_before_drawing(monkeypatch):
+    # stream 15 would calibrate on kind 16, whose bits overflow the counter word
+    calls = []
+    monkeypatch.setattr(channel, "_philox4x32", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="stream kind"):
+        run_simulation(_small_scenario(), stream=15)
+    assert calls == []
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_comparison_arms_equal_separate_runs(workers):
     # at L = 20 the field depends on the layout, but the norm does not: every

@@ -10,7 +10,6 @@ from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
 from apermimo.engine import BLOCK, ScenarioConfig, _simulate_block, default_layout, run_simulation
 from apermimo.metrics import (
     CDF_BIN_WIDTH_DB,
-    CDF_MAX_DB,
     CDF_MIN_DB,
     InvalidStateError,
     SinrCdf,
@@ -245,8 +244,22 @@ def test_cdf_clamps_out_of_range():
     assert cdf.count == 3
     assert cdf.counts[0] == 1
     assert cdf.counts[-1] == 1
-    assert cdf.percentile(0.01) == pytest.approx(CDF_MIN_DB + CDF_BIN_WIDTH_DB / 2)
-    assert cdf.percentile(0.99) == pytest.approx(CDF_MAX_DB - CDF_BIN_WIDTH_DB / 2)
+    # the edge bins hold the clamped samples: their percentiles are not measured
+    assert math.isnan(cdf.percentile(0.01))
+    assert math.isnan(cdf.percentile(0.99))
+    assert cdf.percentile(0.5) == pytest.approx(CDF_BIN_WIDTH_DB / 2)
+
+
+def test_percentile_in_an_edge_bin_is_nan():
+    """The bin next to an edge still measures; the edge bin, which holds every
+    clamped sample, reads NaN, and so does a gain taken from it."""
+    inner = CDF_MIN_DB + 1.5 * CDF_BIN_WIDTH_DB
+    cdf = SinrCdf().push_db(np.r_[np.full(100, inner), np.zeros(1900)])
+    assert cdf.percentile(0.05) == pytest.approx(inner)
+    clamped = SinrCdf().push_db(np.r_[np.full(100, -100.0), np.zeros(1900)])
+    assert math.isnan(clamped.percentile(0.05))
+    assert math.isnan(sinr_gain(clamped, cdf))
+    assert math.isnan(sinr_gain(cdf, clamped))
 
 
 def test_cdf_rejects_nonfinite():
