@@ -7,9 +7,13 @@ numbers, and ``sweep`` grids a comparison over array sizes and user
 crowdedness. ``_synthesize`` tapers the dense reference profile for all
 three; ``engine.compare_layouts`` only compares the layouts it is given.
 
-In: one key table gives each key its flag, parser and help, and drives
+In: every number the CLI reads goes through ``_parse_number``, so a
+malformed one fails as ``key '<name>'`` however it arrives. One key table
+gives each scenario and synthesis key its flag, parser and help, and drives
 both argparse and the key=value config file (scenario keys only; flags
-win), so a value is validated the same way however it arrives.
+win); ``--workers`` and each comma-separated sweep grid value take the
+same parser. A scenario that cannot be synthesized is refused before its
+dense reference runs.
 
 Out: each command returns its result, and one runner times it, writes it
 and prints one line. Field-name tuples form the emission table: the
@@ -84,8 +88,8 @@ _SCENARIO_KEYS = {
     "link": ("--link", str, "link direction: uplink or downlink"),
 }
 # Synthesis keys are also the synthesize summary's fields; _synthesis_settings
-# puts the given flags over the defaults. No other code checks them before
-# work starts, so their parsers keep the lower bounds.
+# puts the given flags over the defaults. Their parsers keep the lower bounds,
+# so compare --layout, which synthesizes nothing, refuses a bad value too.
 _SYNTHESIS_KEYS = {
     "dense_oversampling": ("--oversampling", _parse_number(int, "oversampling", 2),
                            "dense reference elements per wavelength (default "
@@ -157,9 +161,9 @@ def _flag_values(ns, table) -> dict:
 
 
 def _scenario_values(ns) -> dict:
-    """Scenario values from the config file, overridden by the flags."""
-    if ns.workers < 1:
-        raise ConfigError(f"--workers: must be at least 1, got {ns.workers}")
+    """Scenario values from the config file, overridden by the flags (and
+    ``ns.workers`` parsed in place, before any of them)."""
+    ns.workers = _parse_number(int, "workers", 1)(ns.workers)
     values = {}
     if ns.config:
         path = Path(ns.config)
@@ -299,7 +303,13 @@ def _synthesis_settings(ns, realizations=synthesis.DEFAULT_SYNTHESIS_REALIZATION
 
 
 def _synthesize(scenario, settings, workers):
-    """The scenario's dense reference profile and its density taper to M elements."""
+    """The scenario's dense reference profile and its density taper to M
+    elements, refused before the first draw when either cannot be made."""
+    try:
+        synthesis.dense_reference(scenario, settings["dense_oversampling"],
+                                  settings["synthesis_realizations"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     profile = synthesis.reference_profile(scenario, settings["dense_oversampling"],
                                           settings["synthesis_realizations"], workers)
     return profile, synthesis.density_taper(profile, scenario.M)
@@ -331,11 +341,8 @@ def _cmd_compare(ns):
     )
 
 
-def _parse_grid_list(text: str, kind, name: str):
-    try:
-        items = [kind(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"--{name}: expected comma-separated values, got {text!r}")
+def _parse_grid_list(text: str, parse, name: str):
+    items = [parse(part) for part in text.split(",") if part.strip()]
     if not items:
         raise ConfigError(f"--{name}: needs at least one value")
     if len(set(items)) < len(items):
@@ -353,8 +360,8 @@ def _cmd_sweep(ns):
     if fixed:
         raise ConfigError(f"sweep sets {'/'.join(fixed)} per grid point (M and K from "
                           "--bs-counts/--crowdedness, aperture M - 1)")
-    bs_counts = _parse_grid_list(ns.bs_counts, int, "bs-counts")
-    crowd = _parse_grid_list(ns.crowdedness, float, "crowdedness")
+    bs_counts = _parse_grid_list(ns.bs_counts, _parse_number(int, "bs_counts", 2), "bs-counts")
+    crowd = _parse_grid_list(ns.crowdedness, _parse_number(float, "crowdedness"), "crowdedness")
     for frac in crowd:
         if not 0.0 < frac <= 1.0:
             raise ConfigError(f"--crowdedness: fractions must be in (0, 1], got {frac}")
@@ -451,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(func=func)
         _add_flags(cmd, _SCENARIO_KEYS, skip=_SWEEP_FIXED if name == "sweep" else ())
         cmd.add_argument("--config", help="key=value configuration file")
-        cmd.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+        cmd.add_argument("--workers", default="1", help="worker processes (default 1)")
         cmd.add_argument("--out", required=True, help="output directory")
         if name != "simulate":
             _add_flags(cmd, _SYNTHESIS_KEYS)

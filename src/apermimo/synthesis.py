@@ -89,6 +89,15 @@ def _pava_nondecreasing(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_fit(m: int, x_max: float):
+    """Raise ValueError unless m elements fit on [0, x_max] at the minimum spacing."""
+    if (m - 1) * MIN_SEPARATION > x_max:
+        raise ValueError(
+            f"cannot fit {m} elements with {MIN_SEPARATION} wavelength "
+            f"separation into an aperture of {x_max}"
+        )
+
+
 def _enforce_min_separation(positions: np.ndarray, x_max: float) -> np.ndarray:
     """Spread clustered elements apart to the minimum spacing.
 
@@ -101,11 +110,7 @@ def _enforce_min_separation(positions: np.ndarray, x_max: float) -> np.ndarray:
     m = positions.size
     if np.all(np.diff(positions) >= MIN_SEPARATION):
         return positions
-    if (m - 1) * MIN_SEPARATION > x_max:
-        raise ValueError(
-            f"cannot fit {m} elements with {MIN_SEPARATION} wavelength "
-            f"separation into an aperture of {x_max}"
-        )
+    _check_fit(m, x_max)
     warnings.warn(
         "density taper produced elements closer than the minimum separation; "
         "spreading them apart",
@@ -161,6 +166,30 @@ def density_taper(profile: DensityProfile, m: int) -> ArrayLayout:
     return ArrayLayout(positions)
 
 
+def dense_reference(scenario, dense_oversampling: int, realizations: int):
+    """The dense reference run's scenario and regular layout.
+
+    ``dense_oversampling`` elements per wavelength span the scenario's
+    aperture. Raises ValueError, drawing nothing, when that run or the
+    taper of its profile to the scenario's M elements cannot be made.
+    """
+    if dense_oversampling < 2:
+        raise ValueError(
+            f"dense oversampling must be at least 2 elements per wavelength, "
+            f"got {dense_oversampling}"
+        )
+    num_dense = int(round(scenario.aperture * dense_oversampling)) + 1
+    try:
+        ref_scenario = dataclasses.replace(scenario, M=num_dense, realizations=realizations)
+    except ValueError as exc:
+        raise ValueError(
+            f"dense reference of {num_dense} elements ({dense_oversampling} per "
+            f"wavelength over an aperture of {scenario.aperture}): {exc}"
+        ) from None
+    _check_fit(scenario.M, scenario.aperture)
+    return ref_scenario, regular_layout(num_dense, scenario.aperture)
+
+
 def reference_profile(
     scenario,
     dense_oversampling: int = DEFAULT_OVERSAMPLING,
@@ -173,12 +202,8 @@ def reference_profile(
     ``dense_oversampling`` elements per wavelength on the scenario's
     aperture (dedicated random streams, so evaluation draws stay
     untouched) and returns the per-element mean power as a density.
+    ``dense_reference`` refuses a run that cannot be made before it starts.
     """
-    if dense_oversampling < 2:
-        raise ValueError(
-            f"dense oversampling must be at least 2 elements per wavelength, "
-            f"got {dense_oversampling}"
-        )
     if realizations < MIN_RECOMMENDED_REALIZATIONS:
         warnings.warn(
             f"synthesis reference profile from only {realizations} realizations; "
@@ -186,9 +211,7 @@ def reference_profile(
             RuntimeWarning,
             stacklevel=2,
         )
-    num_dense = int(round(scenario.aperture * dense_oversampling)) + 1
-    dense = regular_layout(num_dense, scenario.aperture)
-    ref_scenario = dataclasses.replace(scenario, M=num_dense, realizations=realizations)
+    ref_scenario, dense = dense_reference(scenario, dense_oversampling, realizations)
     report = engine.run_simulation(ref_scenario, dense, workers=workers, stream=STREAM_SYNTHESIS)
     return DensityProfile(positions=dense.positions, values=report.power.mean)
 

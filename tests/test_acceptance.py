@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import register_criterion
+from test_synthesis import _scan_invert
 
 from apermimo import engine
 from apermimo.arrays import regular_layout
@@ -163,21 +164,6 @@ def test_criterion_1_zero_forcing_exactness():
 
 
 # -------------------------------------------------------------- criterion 2
-
-
-def _scan_invert(profile: DensityProfile, fractions, n_scan=1_000_001):
-    x = np.linspace(0.0, profile.x_max, n_scan)
-    mu = np.interp(x, profile.positions, profile.values)
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (mu[1:] + mu[:-1]) * np.diff(x))))
-    out = []
-    for t in np.asarray(fractions) * cum[-1]:
-        j = int(np.searchsorted(cum, t, side="left"))
-        if j == 0:
-            out.append(x[0])
-            continue
-        frac = (t - cum[j - 1]) / (cum[j] - cum[j - 1])
-        out.append(x[j - 1] + frac * (x[j] - x[j - 1]))
-    return np.asarray(out)
 
 
 def test_criterion_2_density_taper_oracle():

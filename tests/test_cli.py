@@ -33,6 +33,14 @@ def _run(argv):
         return main(argv)
 
 
+def _forbid_draws(monkeypatch, message):
+    """Make any simulation run from now on fail the test with ``message``."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(cli.engine, "run_simulation", no_draws)
+
+
 def _read(path):
     return path.read_bytes()
 
@@ -313,11 +321,15 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     ["synthesize", "--M", "4", "--K", "2", "--workers", "0"],
     ["compare", "--M", "4", "--K", "2", "--workers", "0"],
     ["sweep", "--bs-counts", "8", "--crowdedness", "0.25", "--workers", "-1"],
-], ids=["simulate", "synthesize", "compare", "sweep"])
-def test_workers_below_one_is_config_error(tmp_path, capsys, argv):
+    ["simulate", "--M", "4", "--K", "2", "--workers", "x"],
+    ["sweep", "--bs-counts", "8", "--crowdedness", "0.25", "--workers", "1.5"],
+], ids=["simulate", "synthesize", "compare", "sweep", "not-a-number", "fraction"])
+def test_workers_below_one_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    # a malformed count fails the same way, through the one number parser
+    _forbid_draws(monkeypatch, "a run started with an invalid --workers")
     code = _run(argv + ["--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
-    assert "config-error" in capsys.readouterr().err
+    assert "error:config-error: key 'workers': " in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -362,11 +374,10 @@ def test_engine_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, named", [
     (["simulate", "--M", "4", "--K", "2", "--bogus", "1", "--out", "x"], "--bogus"),
-    (["simulate", "--M", "4", "--K", "2", "--workers", "two", "--out", "x"], "--workers"),
     (["sweep", "--crowdedness", "0.5", "--out", "x"], "--bs-counts"),
     (["simulate", "--M", "4", "--K", "2"], "--out"),
     ([], "command"),
-], ids=["unknown-flag", "bad-workers", "missing-bs-counts", "missing-out", "no-command"])
+], ids=["unknown-flag", "missing-bs-counts", "missing-out", "no-command"])
 def test_argparse_errors_are_config_errors(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_CONFIG
@@ -681,10 +692,7 @@ def test_sweep_sets_k_by_rounding(tmp_path):
 def test_sweep_builds_every_point_before_the_first_draw(tmp_path, capsys, monkeypatch):
     # M=1 at crowdedness 1.0 is K=1 on a single element: refused up front,
     # before the M=4 point's dense reference or comparison runs
-    def no_draws(*args, **kwargs):
-        raise AssertionError("a sweep point ran before the grid was validated")
-
-    monkeypatch.setattr(cli.engine, "run_simulation", no_draws)
+    _forbid_draws(monkeypatch, "a sweep point ran before the grid was validated")
     code = _run(["sweep", "--bs-counts", "4,1", "--crowdedness", "1.0",
                  "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
@@ -705,15 +713,41 @@ def _count_comparisons(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("grid", [["--bs-counts", "4,4", "--crowdedness", "0.5"],
-                                  ["--bs-counts", "4", "--crowdedness", "0.5,0.50"]],
-                         ids=["bs-counts", "crowdedness"])
-def test_sweep_refuses_a_repeated_grid_value(tmp_path, capsys, monkeypatch, grid):
-    calls = _count_comparisons(monkeypatch)
+@pytest.mark.parametrize("grid, message", [
+    (["--bs-counts", "4,4", "--crowdedness", "0.5"], "--bs-counts: repeats a value"),
+    (["--bs-counts", "4", "--crowdedness", "0.5,0.50"], "--crowdedness: repeats a value"),
+    (["--bs-counts", "4,x", "--crowdedness", "0.5"],
+     "key 'bs_counts': expected an integer, got 'x'"),
+    (["--bs-counts", "4", "--crowdedness", "0.5,y"],
+     "key 'crowdedness': expected a number, got 'y'"),
+    (["--bs-counts", "0,4", "--crowdedness", "0.5"], "key 'bs_counts': must be at least 2"),
+], ids=["repeated-bs-counts", "repeated-crowdedness", "malformed-bs-counts",
+        "malformed-crowdedness", "bs-counts-below-two"])
+def test_sweep_refuses_a_bad_grid_value(tmp_path, capsys, monkeypatch, grid, message):
+    _forbid_draws(monkeypatch, "a sweep point ran before the grid was validated")
     code = _run(["sweep", *grid, *_SMALL_SWEEP, "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
-    assert "error:config-error" in capsys.readouterr().err
-    assert calls == []
+    assert f"error:config-error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("sizes, message", [
+    (["--M", "20", "--K", "19", "--aperture", "2"],
+     "dense reference of 17 elements (8 per wavelength over an aperture of 2.0): need "
+     "at least as many elements as users, got M=17 < K=19"),
+    (["--M", "40", "--K", "2", "--aperture", "1"],
+     "cannot fit 40 elements with 0.05 wavelength separation into an aperture of 1.0"),
+], ids=["dense-reference-below-k", "elements-do-not-fit"])
+@pytest.mark.parametrize("command", ["synthesize", "compare"])
+def test_synthesis_refused_before_the_first_draw(tmp_path, capsys, monkeypatch, command,
+                                                 sizes, message):
+    # both used to fail inside the engine (exit 3), the second only after
+    # the whole dense reference run
+    _forbid_draws(monkeypatch, "a run started for a scenario that cannot be synthesized")
+    code = _run([command, *sizes, "--synthesis-realizations", "2000",
+                 "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert f"error:config-error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
