@@ -142,7 +142,9 @@ def wave_field(positions, aoa, amplitude, phase, pol_angle, norm: float):
     exp(j kx d): two exponentials a wave (three if x0 != 0), raised to
     powers by doubling; the wave coefficients ride on the fine phasors, and
     a batched (Q, L) @ (L, B) product sums the waves without an (L, M)
-    phasor tensor. Other layouts take one exponential per element and wave:
+    phasor tensor. The coarse and fine powers are (Q, ..., L) and (B, ...,
+    L) tensors, Q <= B: :func:`_sub_batch` sizes them to the cache, not
+    only the field. Other layouts take one exponential per element and wave:
     their (L, M) phasors are built for runs of (draw, user) rows of about
     2**17 complex entries at a time, and each row's (M, L) @ (L, 1) product
     goes into one preallocated output, so the run length moves no bit.
@@ -176,16 +178,20 @@ def wave_field(positions, aoa, amplitude, phase, pol_angle, norm: float):
     return h.reshape(*h.shape[:-2], -1)[..., :m]
 
 
-def _sub_batch(k: int, m: int) -> int:
-    """Realizations per :func:`wave_field` call for K users and M elements.
+def _sub_batch(k: int, m: int, l: int) -> int:
+    """Realizations per :func:`wave_field` call for K users, M elements and L waves.
 
-    Sized to the cache: the (sub, K, M) field and each zero-forcing
-    temporary of its size hold about 2**17 complex entries (2 MiB), with
-    16 to 4096 draws. :func:`wave_field` builds the phasors of non-regular
-    layouts in runs of the same size. Every caller chunks by this one
-    rule; draws do not depend on it.
+    Sized to the cache: the largest temporary of a sub-batch holds at most
+    about 2**17 complex entries (2 MiB), with 16 to 4096 draws.
+    Those are the (sub, K, M) field and each zero-forcing temporary of its
+    size, and the (B, sub, K, L) coarse and fine phasor powers of the sum
+    grid, B = ceil(sqrt(M)); the (sub, K, 4L) real uniforms take fewer
+    bytes than the phasors for any M >= 2. :func:`wave_field` builds the
+    phasors of non-regular layouts in runs of the same size. Every caller
+    chunks by this one rule; draws do not depend on it.
     """
-    return max(16, min(4096, _CACHE_ENTRIES // (k * m)))
+    b = int(np.ceil(np.sqrt(m)))
+    return max(16, min(4096, _CACHE_ENTRIES // (k * max(m, l * b))))
 
 
 def _calibration_chunk(args):
@@ -201,7 +207,7 @@ def _calibration_chunk(args):
         aoa, amp, _, pol = sample_wave_blocks(seed, kind, range(start, stop), k, 1)
         return np.mean((amp * np.cos(pol) * huygens_gain(aoa)) ** 2, axis=(1, 2))
     vals = np.empty(stop - start)
-    sub = _sub_batch(k, len(positions))
+    sub = _sub_batch(k, len(positions), l)
     for s in range(start, stop, sub):
         e = min(stop, s + sub)
         aoa, amp, phase, pol = sample_wave_blocks(seed, kind, range(s, e), k, l)

@@ -26,6 +26,8 @@ CDF_NUM_BINS = int(round((CDF_MAX_DB - CDF_MIN_DB) / CDF_BIN_WIDTH_DB))
 MIN_GAIN_SAMPLES = 1_000
 GAIN_PERCENTILE = 0.05
 
+_CHUNK_ENTRIES = 1 << 17  # float entries per chunk of squared deviations (1 MiB)
+
 
 class InvalidStateError(RuntimeError):
     """An accumulator was queried before holding enough samples."""
@@ -52,16 +54,40 @@ class StreamingMoments:
         self._m2 = np.zeros(dim)
 
     @classmethod
-    def from_batch(cls, samples) -> "StreamingMoments":
-        """Exact two-pass moments of a (n, dim) batch."""
+    def from_batch(cls, samples, mask=None) -> "StreamingMoments":
+        """Exact two-pass moments of the rows of a (n, dim) batch that ``mask`` keeps.
+
+        Equal bit for bit to the moments of ``samples[mask]`` (all rows when
+        ``mask`` is None), without copying the kept rows. numpy reduces
+        axis 0 of a (n, dim >= 2) array row by row, so the mean is one
+        masked reduction, and the squared deviations are summed over
+        chunks of about 2**17 entries, each chunk's sum led by the running
+        one. A (n, 1) column is contiguous and numpy sums it pairwise, so
+        at dim 1 the kept rows (n floats) are selected and summed whole.
+        """
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        acc = cls(samples.shape[1])
-        if samples.shape[0] == 0:
+        if mask is not None and samples.shape[1] == 1:
+            samples, mask = samples[mask], None
+        n, dim = samples.shape
+        keep = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        acc = cls(dim)
+        acc.count = int(np.count_nonzero(keep))
+        if acc.count == 0:
             return acc
-        acc.count = samples.shape[0]
-        acc.mean = samples.mean(axis=0)
-        dev = samples - acc.mean
-        acc._m2 = np.square(dev, out=dev).sum(axis=0)  # in place: one (n, dim) temporary
+        acc.mean = np.add.reduce(samples, axis=0, where=keep[:, None], initial=0.0) / acc.count
+        rows = n if dim == 1 else max(1, _CHUNK_ENTRIES // dim)
+        buf = np.empty((min(rows, acc.count) + 1, dim))
+        lead = 0  # the first chunk's sum has no running sum to lead it
+        for s in range(0, n, rows):
+            part = keep[s : s + rows]
+            dev = buf[lead : lead + int(np.count_nonzero(part))]
+            # mode "clip" writes into dev unbuffered; the indices are in range
+            np.take(samples[s : s + rows], np.flatnonzero(part), axis=0, out=dev, mode="clip")
+            np.subtract(dev, acc.mean, out=dev)
+            np.square(dev, out=dev)
+            # added row by row, in the order of one sum over every kept row
+            acc._m2 = buf[: lead + len(dev)].sum(axis=0)
+            buf[0], lead = acc._m2, 1
         return acc
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":

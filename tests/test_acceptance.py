@@ -445,3 +445,30 @@ def test_criterion_10_statistical_plumbing():
         register_criterion(10, line.replace("PASS", "FAIL", 1))
         raise
     register_criterion(10, line)
+
+
+# ------------------------------------------------------- criteria as data
+
+
+def test_criteria_file_marks_moved_lines(tmp_path, monkeypatch, capsys):
+    """register_criterion keeps each criterion's latest line in the criteria
+    file, and the printer marks exactly the lines that moved between two."""
+    import conftest
+
+    monkeypatch.setattr(conftest, "ACCEPTANCE_LINES", {})
+    monkeypatch.setattr(conftest, "CRITERIA_FILE", tmp_path / "run" / "criteria.json")
+    register_criterion(1, "PASS a 1.0")
+    register_criterion(2, "PASS b")
+    before = tmp_path / "before.json"
+    before.write_text(conftest.CRITERIA_FILE.read_text())
+    register_criterion(2, "PASS b moved")
+    register_criterion(10, "PASS c")
+    assert conftest._print_criteria_diff(before, conftest.CRITERIA_FILE) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "  criterion  1: PASS a 1.0",
+        "* criterion  2: PASS b moved",
+        "           was: PASS b",
+        "* criterion 10: PASS c",
+        "           was: (absent)",
+        "2 of 3 criterion lines moved",
+    ]

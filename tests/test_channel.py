@@ -408,13 +408,13 @@ def test_single_wave_row_has_constant_modulus():
     np.testing.assert_allclose(mags, mags[0], rtol=1e-12)
 
 
-def test_calibration_matches_one_block(monkeypatch):
+def test_calibration_matches_one_block(fixed_sub_batch):
     """Chunked calibration, serial or mapped over worker processes and at any
     sub-batch size, equals to the bit one wave_field call over all draws."""
     lay = regular_layout(121, 15.0)
     sc = _Scenario(k=2, waves=20)
     n_cal = 2_007
-    task, sub = channel._CALIBRATION_TASK, channel._sub_batch(sc.K, len(lay))
+    task, sub = channel._CALIBRATION_TASK, channel._sub_batch(sc.K, len(lay), sc.waves_per_ue)
     assert task < n_cal and n_cal % task  # several tasks, the last one short
     assert sub < task and task % sub  # several sub-batches a task, the last one short
     params = sample_wave_blocks(
@@ -427,8 +427,9 @@ def test_calibration_matches_one_block(monkeypatch):
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
         assert calibrate_normalization(sc, lay, n_cal, mapper=pool.map) == expected
     for size in (1, 7, 4096):
-        monkeypatch.setattr(channel, "_sub_batch", lambda k, m, size=size: size)
+        batches = fixed_sub_batch(size)
         assert calibrate_normalization(sc, lay, n_cal) == expected, size
+        assert sum(batches) == n_cal and max(batches) == min(size, task), size
 
 
 def test_single_wave_calibration_needs_no_field(monkeypatch):
@@ -468,15 +469,21 @@ def test_single_wave_calibration_needs_no_field(monkeypatch):
     assert mapped == norms["regular"]
 
 
-@pytest.mark.parametrize("k, m, expected", [
-    (19, 505, 16), (2, 121, 541), (8, 16, 1024), (2, 16, 4096),
-], ids=["505x19-L1", "121x2-L20", "16x8-L1", "16x2-L20"])
-def test_sub_batch_stays_cache_sized(k, m, expected):
-    """The largest field that fits 2**17 complex entries, within [16, 4096] draws."""
-    sub = channel._sub_batch(k, m)
+@pytest.mark.parametrize("k, m, l, expected", [
+    (19, 505, 1, 16), (19, 64, 1, 107), (2, 121, 1, 541), (8, 16, 1, 1024), (2, 16, 1, 4096),
+    (2, 121, 20, 297), (2, 16, 20, 819),
+], ids=["505x19-L1", "64x19-L1", "121x2-L1", "16x8-L1", "16x2-L1", "121x2-L20", "16x2-L20"])
+def test_sub_batch_stays_cache_sized(k, m, l, expected):
+    """The most draws whose (sub, K, M) field and (B, sub, K, L) coarse and
+    fine phasor powers each fit 2**17 complex entries, within [16, 4096]."""
+    sub = channel._sub_batch(k, m, l)
     assert sub == expected
-    assert sub == 16 or sub * k * m <= channel._CACHE_ENTRIES  # the field, unless the floor binds
-    assert sub == 4096 or (sub + 1) * k * m > channel._CACHE_ENTRIES
+    b = int(np.ceil(np.sqrt(m)))
+    largest = k * max(m, l * b)  # complex entries per draw of the largest temporary
+    assert sub == 16 or sub * largest <= channel._CACHE_ENTRIES  # unless the floor binds
+    assert sub == 16 or b * sub * k * l <= channel._CACHE_ENTRIES
+    assert sub == 16 or 8 * sub * k * 4 * l <= 16 * channel._CACHE_ENTRIES  # real uniforms, bytes
+    assert sub == 4096 or (sub + 1) * largest > channel._CACHE_ENTRIES
 
 
 def test_calibration_self_consistency():

@@ -2,11 +2,12 @@ import concurrent.futures
 import ctypes
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from apermimo import channel, engine
+from apermimo import channel, engine, metrics
 from apermimo.arrays import ArrayLayout, regular_layout
 from apermimo.beamform import COND_LIMIT, RESIDUAL_LIMIT
 from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
@@ -170,14 +171,15 @@ def test_report_matches_per_record_accumulation():
     ("uplink", 1, None),
     ("downlink", 20, (0.0, 0.9, 2.2, 3.0, 4.1, 4.9, 6.3, 7.0)),
 ], ids=["los-uplink-regular", "rimp-downlink-aperiodic"])
-def test_simulate_block_independent_of_sub_batch(monkeypatch, link, waves, positions):
+def test_simulate_block_independent_of_sub_batch(fixed_sub_batch, link, waves, positions):
     """Every per-draw array of a block is bit-identical for any sub-batch size."""
     sc = _small_scenario(link=link, waves_per_ue=waves, K=3)
     layout = default_layout(sc) if positions is None else ArrayLayout(positions)
     blk = _simulate_block(sc, (layout,), 1.0, 0, BLOCK, STREAM_EVAL)[0]
     for sub in (1, 7, 4096):
-        monkeypatch.setattr(channel, "_sub_batch", lambda k, m, sub=sub: sub)
+        batches = fixed_sub_batch(sub)
         blk_sub = _simulate_block(sc, (layout,), 1.0, 0, BLOCK, STREAM_EVAL)[0]
+        assert len(batches) == -(-BLOCK // sub) and max(batches) == sub
         for key in blk:
             np.testing.assert_array_equal(blk_sub[key], blk[key], err_msg=f"{key} {sub}")
 
@@ -386,6 +388,37 @@ def test_zero_synthesis_realizations_is_not_the_default():
     with pytest.warns(RuntimeWarning, match="recommended"), \
             pytest.raises(ValueError, match="realizations"):
         reference_profile(sc, dense_oversampling=2, realizations=0)
+
+
+def test_block_stats_memory_is_cache_sized(monkeypatch):
+    """One 4096-draw block of the 16x2 L=20 comparison's 121-element dense
+    reference holds its own per-draw arrays and a few cache-sized
+    temporaries at a time: no (B, draws, K, L) phasor powers beyond the
+    cache budget while drawing, and no copy of the accepted power rows
+    while reducing, only one chunk of squared deviations."""
+    sc = ScenarioConfig(M=121, K=2, waves_per_ue=20, realizations=BLOCK)
+    args = (sc, (default_layout(sc),), 1.0, 0, BLOCK, STREAM_EVAL)
+    _block_stats((sc, args[1], 1.0, 0, 16, STREAM_EVAL))  # first-call allocations
+    simulate, peaks = engine._simulate_block, []
+
+    def simulate_then_reset_peak(*a):
+        out = simulate(*a)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(engine, "_simulate_block", simulate_then_reset_peak)
+    tracemalloc.start()
+    try:
+        _block_stats(args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    block = BLOCK * (8 * (sc.M + sc.K + 1) + 1)  # power, sinr, residual and ok
+    drawing, reducing = peaks
+    assert drawing <= block + 4 * 16 * channel._CACHE_ENTRIES, drawing / 2**20
+    # one 1 MiB chunk and the histogram's temporaries; the accepted rows alone are 3.8 MiB
+    assert reducing <= block + 2 * 8 * metrics._CHUNK_ENTRIES, reducing / 2**20
 
 
 def test_block_stats_merge_folds_every_field():

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from apermimo import metrics
 from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
 from apermimo.engine import BLOCK, ScenarioConfig, _simulate_block, default_layout, run_simulation
 from apermimo.metrics import (
@@ -135,6 +136,45 @@ def test_merge_into_empty_is_bit_exact(batch_and_cuts):
     assert dst.count == src.count
     np.testing.assert_array_equal(dst.mean, src.mean)
     np.testing.assert_array_equal(dst._m2, src._m2)
+
+
+@st.composite
+def _masked_batch(draw):
+    """An (n, dim) batch with a row mask: 1 row, few rows, or rows on and
+    across the boundaries of from_batch's chunks; every, no or random rows kept."""
+    dim = draw(st.integers(1, 600))
+    chunk = max(1, metrics._CHUNK_ENTRIES // dim)
+    edges = [c + d for c in (chunk, 2 * chunk) for d in (-1, 0, 1)]
+    n = draw(st.one_of(st.integers(1, 40), st.sampled_from(edges)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.standard_normal((n, dim)) * 10.0 ** draw(st.integers(-3, 3))
+    samples[rng.random((n, dim)) < 0.05] = draw(st.sampled_from([0.0, -0.0, 1.0]))
+    kind = draw(st.sampled_from(["all", "none", "random"]))
+    mask = {"all": np.ones(n, dtype=bool), "none": np.zeros(n, dtype=bool),
+            "random": rng.random(n) < draw(st.floats(0.05, 0.95))}[kind]
+    return samples, mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(_masked_batch())
+@example((np.array([[-0.0, 2.0]]), np.array([True])))  # numpy's sum of -0.0 alone is +0.0
+def test_masked_moments_equal_the_copied_rows_bitwise(batch_and_mask):
+    """from_batch(samples, mask) equals from_batch(samples[mask]), and the
+    plain two-pass moments of the copied rows, bit for bit."""
+    samples, mask = batch_and_mask
+    masked = StreamingMoments.from_batch(samples, mask)
+    copied = StreamingMoments.from_batch(samples[mask])
+    kept = samples[mask]
+    assert masked.count == copied.count == len(kept)
+    if len(kept):
+        mean = kept.mean(axis=0)
+        m2 = np.square(kept - mean).sum(axis=0)
+    else:
+        mean = m2 = np.zeros(samples.shape[1])
+    for acc in (masked, copied):
+        assert acc.mean.tobytes() == mean.tobytes()
+        assert acc._m2.tobytes() == m2.tobytes()
+        assert acc.variance.tobytes() == copied.variance.tobytes()
 
 
 def test_merge_into_empty_is_exact():
