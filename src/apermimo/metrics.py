@@ -26,7 +26,7 @@ CDF_NUM_BINS = int(round((CDF_MAX_DB - CDF_MIN_DB) / CDF_BIN_WIDTH_DB))
 MIN_GAIN_SAMPLES = 1_000
 GAIN_PERCENTILE = 0.05
 
-_CHUNK_ENTRIES = 1 << 17  # float entries per chunk of squared deviations (1 MiB)
+_CHUNK_ENTRIES = 1 << 17  # float entries per chunk of rows reduced at once (1 MiB)
 
 
 class InvalidStateError(RuntimeError):

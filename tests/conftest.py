@@ -1,10 +1,12 @@
 """Shared pytest plumbing: the acceptance-criteria report section, a
-fault-injecting patch of the zero-forcing rescue and a fixed sub-batch size.
+fault-injecting patch of the zero-forcing rescue, a fixed sub-batch size and
+the concatenation of a block's sub-batches.
 
 Acceptance tests register one human-readable line per criterion; the
 lines are echoed after the run so pass/fail status and the measured
 values are visible without -s, and each is kept in CRITERIA_FILE, so
-that two runs' figures can be diffed:
+that two runs' figures can be diffed (a criterion's elapsed time is
+echoed but not kept, since it moves on unchanged code):
 
     cp .criteria/criteria.json before.json   # then change the code and rerun
     PYTHONPATH=src python3 tests/conftest.py before.json .criteria/criteria.json
@@ -14,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from apermimo import beamform, channel
@@ -63,6 +66,13 @@ def fixed_sub_batch(monkeypatch):
     return use
 
 
+def gather_block(sub_batches) -> list:
+    """One dict of whole-block arrays per layout, from the per-sub-batch
+    lists of dicts that ``engine._simulate_block`` yields."""
+    arms = list(zip(*sub_batches))
+    return [{key: np.concatenate([blk[key] for blk in arm]) for key in arm[0]} for arm in arms]
+
+
 def _read_criteria(path) -> dict:
     """{criterion number: line} of a criteria file; empty when it does not exist."""
     path = Path(path)
@@ -71,10 +81,11 @@ def _read_criteria(path) -> dict:
     return {int(number): line for number, line in json.loads(path.read_text()).items()}
 
 
-def register_criterion(number: int, line: str) -> None:
+def register_criterion(number: int, line: str, elapsed: float = None) -> None:
     """Echo ``line`` after the run, and keep it as criterion ``number``'s
-    latest line in CRITERIA_FILE next to the other criteria's."""
-    ACCEPTANCE_LINES[number] = line
+    latest line in CRITERIA_FILE next to the other criteria's; ``elapsed``
+    seconds, when given, are echoed after the line but not kept."""
+    ACCEPTANCE_LINES[number] = line if elapsed is None else f"{line} [{elapsed:.1f}s]"
     lines = _read_criteria(CRITERIA_FILE)
     lines[number] = line
     CRITERIA_FILE.parent.mkdir(exist_ok=True)

@@ -151,16 +151,16 @@ def test_criterion_1_zero_forcing_exactness():
     elapsed = time.perf_counter() - started
     line = (
         f"PASS zero-forcing exactness: max|HW - I| = {worst:.2e} over "
-        f"{accepted} accepted realizations in {elapsed:.1f}s (limits 1e-9, 60s)"
+        f"{accepted} accepted realizations (limits 1e-9, 60s)"
     )
     try:
         assert accepted >= 10_000
         assert worst <= 1e-9
         assert elapsed < 60.0
     except AssertionError:
-        register_criterion(1, line.replace("PASS", "FAIL", 1))
+        register_criterion(1, line.replace("PASS", "FAIL", 1), elapsed)
         raise
-    register_criterion(1, line)
+    register_criterion(1, line, elapsed)
 
 
 # -------------------------------------------------------------- criterion 2
@@ -452,17 +452,20 @@ def test_criterion_10_statistical_plumbing():
 
 def test_criteria_file_marks_moved_lines(tmp_path, monkeypatch, capsys):
     """register_criterion keeps each criterion's latest line in the criteria
-    file, and the printer marks exactly the lines that moved between two."""
+    file, and the printer marks exactly the lines that moved between two; an
+    elapsed time is echoed but not kept, so it moves no line."""
     import conftest
 
     monkeypatch.setattr(conftest, "ACCEPTANCE_LINES", {})
     monkeypatch.setattr(conftest, "CRITERIA_FILE", tmp_path / "run" / "criteria.json")
-    register_criterion(1, "PASS a 1.0")
+    register_criterion(1, "PASS a 1.0", elapsed=0.24)
     register_criterion(2, "PASS b")
     before = tmp_path / "before.json"
     before.write_text(conftest.CRITERIA_FILE.read_text())
+    register_criterion(1, "PASS a 1.0", elapsed=0.31)
     register_criterion(2, "PASS b moved")
     register_criterion(10, "PASS c")
+    assert conftest.ACCEPTANCE_LINES[1] == "PASS a 1.0 [0.3s]"
     assert conftest._print_criteria_diff(before, conftest.CRITERIA_FILE) == 2
     assert capsys.readouterr().out.splitlines() == [
         "  criterion  1: PASS a 1.0",

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import gather_block
+
 from apermimo.arrays import regular_layout
 from apermimo.beamform import COND_LIMIT, RESIDUAL_LIMIT, _zf_solve
 from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
@@ -132,7 +134,7 @@ def test_downlink_sinr_general_precoder():
     )
     layout = default_layout(sc)
     norm = 1.3
-    blk = _simulate_block(sc, (layout,), norm, 0, sc.realizations, STREAM_EVAL)[0]
+    blk = gather_block(_simulate_block(sc, (layout,), norm, 0, sc.realizations, STREAM_EVAL))[0]
     params = sample_wave_blocks(
         sc.master_seed, STREAM_EVAL, range(sc.realizations), sc.K, sc.waves_per_ue
     )

@@ -7,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from apermimo import channel, engine, metrics
+from conftest import gather_block
+
+from apermimo import channel, engine
 from apermimo.arrays import ArrayLayout, regular_layout
 from apermimo.beamform import COND_LIMIT, RESIDUAL_LIMIT
 from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
@@ -21,7 +23,7 @@ from apermimo.engine import (
     default_layout,
     run_simulation,
 )
-from apermimo.metrics import SinrCdf
+from apermimo.metrics import SinrCdf, StreamingMoments
 from apermimo.synthesis import reference_profile
 
 
@@ -78,7 +80,7 @@ def test_scenario_defaults():
 
 def _replay(sc, layout, norm, index):
     """Realization ``index`` regenerated alone, as a dict of length-1 arrays."""
-    return _simulate_block(sc, (layout,), norm, index, index + 1, STREAM_EVAL)[0]
+    return next(_simulate_block(sc, (layout,), norm, index, index + 1, STREAM_EVAL))[0]
 
 
 def test_realization_is_reproducible():
@@ -133,6 +135,10 @@ def test_report_matches_per_record_accumulation():
     report = run_simulation(sc, layout)
     norm = report.norm
     recs = [_replay(sc, layout, norm, i) for i in range(sc.realizations)]
+    # the block's sub-batches, concatenated, are the replays stacked
+    blk = gather_block(_simulate_block(sc, (layout,), norm, 0, sc.realizations, STREAM_EVAL))[0]
+    for key in blk:
+        np.testing.assert_array_equal(blk[key], np.concatenate([rec[key] for rec in recs]))
     accepted = [i for i, rec in enumerate(recs) if rec["ok"][0]]
     # acceptance is cond(G) <= COND_LIMIT plus the residual gate
     params = sample_wave_blocks(
@@ -167,21 +173,39 @@ def test_report_matches_per_record_accumulation():
         )
 
 
-@pytest.mark.parametrize("link, waves, positions", [
-    ("uplink", 1, None),
-    ("downlink", 20, (0.0, 0.9, 2.2, 3.0, 4.1, 4.9, 6.3, 7.0)),
-], ids=["los-uplink-regular", "rimp-downlink-aperiodic"])
-def test_simulate_block_independent_of_sub_batch(fixed_sub_batch, link, waves, positions):
-    """Every per-draw array of a block is bit-identical for any sub-batch size."""
-    sc = _small_scenario(link=link, waves_per_ue=waves, K=3)
+def _assert_same_stats(a, b, msg=""):
+    """Two BlockStats records agree bit for bit in every field."""
+    np.testing.assert_array_equal(a.cdf.counts, b.cdf.counts, err_msg=msg)
+    for name in ("rate", "power"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.count == y.count, (name, msg)
+        np.testing.assert_array_equal(x.mean, y.mean, err_msg=f"{name} {msg}")
+        np.testing.assert_array_equal(x._m2, y._m2, err_msg=f"{name} {msg}")
+    assert (a.rejected, a.max_residual) == (b.rejected, b.max_residual), msg
+
+
+@pytest.mark.parametrize("link, waves, positions, m", [
+    ("uplink", 1, None, 8),
+    ("downlink", 20, (0.0, 0.9, 2.2, 3.0, 4.1, 4.9, 6.3, 7.0), 8),
+    ("downlink", 3, None, 64),
+], ids=["los-uplink-regular", "rimp-downlink-aperiodic", "downlink-64-two-chunks"])
+def test_simulate_block_independent_of_sub_batch(fixed_sub_batch, link, waves, positions, m):
+    """Every per-draw array of a block, and every field of its reduction, is
+    bit-identical for any sub-batch size; at 64 elements the power moments
+    fold two chunks of 2048 rows."""
+    sc = _small_scenario(link=link, waves_per_ue=waves, K=3, M=m)
     layout = default_layout(sc) if positions is None else ArrayLayout(positions)
-    blk = _simulate_block(sc, (layout,), 1.0, 0, BLOCK, STREAM_EVAL)[0]
+    args = (sc, (layout,), 1.0, 0, BLOCK, STREAM_EVAL)
+    blk = gather_block(_simulate_block(*args))[0]
+    stats = _block_stats(args)[0]
+    assert engine._reduce_rows(m) == (BLOCK if m == 8 else BLOCK // 2)
     for sub in (1, 7, 4096):
         batches = fixed_sub_batch(sub)
-        blk_sub = _simulate_block(sc, (layout,), 1.0, 0, BLOCK, STREAM_EVAL)[0]
+        blk_sub = gather_block(_simulate_block(*args))[0]
         assert len(batches) == -(-BLOCK // sub) and max(batches) == sub
         for key in blk:
             np.testing.assert_array_equal(blk_sub[key], blk[key], err_msg=f"{key} {sub}")
+        _assert_same_stats(_block_stats(args)[0], stats, f"sub-batch {sub}")
 
 
 def _assert_same_report(a, b):
@@ -221,8 +245,8 @@ def test_links_reject_the_same_draws(negated_rescue_gain):
     """Acceptance belongs to the solve, so a rescued draw with a nonpositive
     noise gain is rejected on both links, and with SINR 0 on each."""
     blocks = [
-        _simulate_block(ScenarioConfig(M=16, K=8, link=link), (regular_layout(16, 15.0),),
-                        1.0, 0, 1024, STREAM_EVAL)[0]
+        gather_block(_simulate_block(ScenarioConfig(M=16, K=8, link=link),
+                                     (regular_layout(16, 15.0),), 1.0, 0, 1024, STREAM_EVAL))[0]
         for link in ("uplink", "downlink")
     ]
     up, down = (blk["ok"] for blk in blocks)
@@ -390,35 +414,64 @@ def test_zero_synthesis_realizations_is_not_the_default():
         reference_profile(sc, dense_oversampling=2, realizations=0)
 
 
-def test_block_stats_memory_is_cache_sized(monkeypatch):
-    """One 4096-draw block of the 16x2 L=20 comparison's 121-element dense
-    reference holds its own per-draw arrays and a few cache-sized
-    temporaries at a time: no (B, draws, K, L) phasor powers beyond the
-    cache budget while drawing, and no copy of the accepted power rows
-    while reducing, only one chunk of squared deviations."""
-    sc = ScenarioConfig(M=121, K=2, waves_per_ue=20, realizations=BLOCK)
-    args = (sc, (default_layout(sc),), 1.0, 0, BLOCK, STREAM_EVAL)
-    _block_stats((sc, args[1], 1.0, 0, 16, STREAM_EVAL))  # first-call allocations
-    simulate, peaks = engine._simulate_block, []
+def test_block_stats_memory_is_cache_sized():
+    """One 4096-draw block of a dense synthesis reference (the 121 elements
+    of the 16x2 L=20 comparison, the 505 of the 64x19 synthesis at L=1)
+    holds no array of the whole block's draws: only its rate and power row
+    buffers and a few sub-batch temporaries at a time (the field and each
+    zero-forcing temporary of its size), with no (B, draws, K, L) phasor
+    powers beyond them."""
+    for m, k, waves in ((121, 2, 20), (505, 19, 1)):
+        sc = ScenarioConfig(M=m, K=k, waves_per_ue=waves, realizations=BLOCK)
+        layout = (default_layout(sc),)
+        _block_stats((sc, layout, 1.0, 0, 16, STREAM_EVAL))  # first-call allocations
+        tracemalloc.start()
+        try:
+            _block_stats((sc, layout, 1.0, 0, BLOCK, STREAM_EVAL))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = engine._reduce_rows(m) * (8 * (k + m) + 1)  # rate, power and ok rows
+        # _sub_batch's 16-draw floor makes a 505x19 temporary 16 K M complex entries
+        largest = max(channel._CACHE_ENTRIES, channel._sub_batch(k, m, waves) * k * m)
+        assert peak <= buffers + 4 * 16 * largest, (m, peak / 2**20)
 
-    def simulate_then_reset_peak(*a):
-        out = simulate(*a)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        return out
 
-    monkeypatch.setattr(engine, "_simulate_block", simulate_then_reset_peak)
-    tracemalloc.start()
-    try:
-        _block_stats(args)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    block = BLOCK * (8 * (sc.M + sc.K + 1) + 1)  # power, sinr, residual and ok
-    drawing, reducing = peaks
-    assert drawing <= block + 4 * 16 * channel._CACHE_ENTRIES, drawing / 2**20
-    # one 1 MiB chunk and the histogram's temporaries; the accepted rows alone are 3.8 MiB
-    assert reducing <= block + 2 * 8 * metrics._CHUNK_ENTRIES, reducing / 2**20
+def test_block_stats_folds_row_chunks_in_index_order(monkeypatch, fixed_sub_batch):
+    """The rate and power moments fold the block's rows in chunks of
+    _reduce_rows(M) rows in index order, whatever the sub-batches: here
+    7-draw sub-batches straddle 8-row chunks, the second chunk is wholly
+    rejected, the third in part, and the last holds 3 rows."""
+    sc = _small_scenario(K=3, waves_per_ue=2)
+    layout = default_layout(sc)
+    solve, solved = engine._zf_solve, []
+
+    def rejecting(h):
+        zf = solve(h)
+        index = np.arange(sum(solved), sum(solved) + len(h))
+        solved.append(len(h))
+        return zf._replace(ok=zf.ok & ((index < 8) | (index >= 16)) & (index != 21))
+
+    monkeypatch.setattr(engine, "_zf_solve", rejecting)
+    monkeypatch.setattr(engine, "_reduce_rows", lambda m: 8)
+    fixed_sub_batch(7)
+    args = (sc, (layout,), 1.0, 0, 43, STREAM_EVAL)
+    stats = _block_stats(args)[0]
+    solved.clear()
+    blk = gather_block(_simulate_block(*args))[0]
+    ok = blk["ok"]
+    assert np.flatnonzero(~ok).tolist() == [*range(8, 16), 21]
+    rate, power = StreamingMoments(sc.K), StreamingMoments(sc.M)
+    for s in range(0, 43, 8):
+        rows = slice(s, s + 8)
+        rate.merge(StreamingMoments.from_batch(np.log1p(blk["sinr"][rows]) / math.log(2.0),
+                                               ok[rows]))
+        power.merge(StreamingMoments.from_batch(blk["power"][rows], ok[rows]))
+    expected = engine.BlockStats(SinrCdf().push_db(10.0 * np.log10(blk["sinr"][ok])),
+                                 rate, power, 9, float(blk["residual"][ok].max()))
+    _assert_same_stats(stats, expected)
+    assert stats.power.count == 34
+    np.testing.assert_allclose(stats.power.mean, blk["power"][ok].mean(axis=0), rtol=1e-12)
 
 
 def test_block_stats_merge_folds_every_field():

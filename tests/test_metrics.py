@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import gather_block
+
 from apermimo import metrics
 from apermimo.channel import STREAM_EVAL, sample_wave_blocks, wave_field
 from apermimo.engine import BLOCK, ScenarioConfig, _simulate_block, default_layout, run_simulation
@@ -47,7 +49,9 @@ def _two_block_run():
     sc = ScenarioConfig(M=8, K=2, waves_per_ue=3, realizations=BLOCK + 500, master_seed=16)
     layout = default_layout(sc)
     report = run_simulation(sc, layout)
-    blk = _simulate_block(sc, (layout,), report.norm, 0, sc.realizations, STREAM_EVAL)[0]
+    blk = gather_block(
+        _simulate_block(sc, (layout,), report.norm, 0, sc.realizations, STREAM_EVAL)
+    )[0]
     assert report.accepted_count == int(blk["ok"].sum())
     return sc, layout, report, blk
 
