@@ -173,9 +173,10 @@ def _simulate_block(scenario, layouts, norm, start, stop, stream):
     numbers and ``next(_simulate_block(..., (layout,), norm, i, i + 1,
     ...))[0]`` replays realization i of a full run exactly. Each dict
     holds the sub-batch's linear "sinr" (n, K), per-element "power"
-    beta |sum_k W[:, k]|^2 (n, M) with beta = 1 / tr (H H^H)^-1,
-    "residual" max|HW - I| and the acceptance mask "ok" (condition
-    screen, residual gate and a positive noise gain).
+    beta |W 1|^2 (n, M) with W 1 = H^H (X 1) the weights summed over
+    users, X = (H H^H)^-1 and beta = 1 / tr X, the certified or evaluated
+    "residual" max|HW - I| (``beamform.ZfBatch``) and the acceptance mask
+    "ok" (condition screen, residual gate and a positive noise gain).
     """
     k = scenario.K
     snr = scenario.snr
@@ -195,8 +196,7 @@ def _simulate_block(scenario, layouts, norm, start, stop, stream):
                 sinr = (zf.beta * snr)[:, None].repeat(k, axis=1)
             arms.append({
                 "sinr": sinr,
-                # sum over users as one batched matrix-vector product, not a strided reduction
-                "power": zf.beta[:, None] * np.abs(zf.weights @ np.ones(k)) ** 2,
+                "power": zf.beta[:, None] * np.abs(zf.weight_sum) ** 2,
                 "residual": zf.residual,
                 "ok": zf.ok,
             })
@@ -242,14 +242,15 @@ def _block_stats(args) -> list:
     """Reduce one block to one mergeable record per layout (runs inside workers).
 
     Each sub-batch that :func:`_simulate_block` yields is folded as it
-    arrives: its accepted SINRs go into the histogram and its rejections
-    and residuals into the counters, and its rate and power rows are
-    copied into one reusable buffer of :func:`_reduce_rows` rows per
-    layout. Each full buffer, and the last partial one, is reduced to
-    moments with its rejected rows masked out and merged in index order.
-    The chunk bounds depend only on M, so neither the sub-batch size nor
-    the worker count moves a bit, and no (draws, M) array outlives its
-    sub-batch.
+    arrives: its rejections and residuals go into the counters, and its
+    SINR and power rows are copied into one reusable buffer of
+    :func:`_reduce_rows` rows per layout. Each full buffer, and the last
+    partial one, pushes its accepted SINRs into the histogram at once and
+    is reduced to rate and power moments with its rejected rows masked
+    out, merged in index order. The chunk bounds depend only on M, so
+    neither the sub-batch size nor the worker count moves a bit (histogram
+    counts do not depend on grouping at all), and no (draws, M) array
+    outlives its sub-batch.
     """
     scenario, layouts, _, start, stop, _ = args
     k, m = scenario.K, scenario.M
@@ -259,25 +260,31 @@ def _block_stats(args) -> list:
               for _ in layouts]
 
     def fold(n):
-        for st, (rate, power, ok) in zip(stats, chunks):
-            st.rate.merge(StreamingMoments.from_batch(rate[:n], ok[:n]))
-            st.power.merge(StreamingMoments.from_batch(power[:n], ok[:n]))
+        for st, (sinr, power, ok) in zip(stats, chunks):
+            sinr, power, ok = sinr[:n], power[:n], ok[:n]
+            db = sinr[ok]
+            np.log10(db, out=db)
+            db *= 10.0
+            st.cdf.push_db(db)
+            # in place: the buffer is refilled before the next fold. A rejected
+            # draw's SINR is 0, so its rate is 0 too
+            rate = np.log1p(sinr, out=sinr)
+            rate /= _LN2
+            st.rate.merge(StreamingMoments.from_batch(rate, ok))
+            st.power.merge(StreamingMoments.from_batch(power, ok))
 
     filled = 0
     for arms in _simulate_block(*args):
         for st, blk in zip(stats, arms):
             mask = blk["ok"]
-            st.cdf.push_db(10.0 * np.log10(blk["sinr"][mask]))
             st.rejected += int(mask.size - np.count_nonzero(mask))
             st.max_residual = max(st.max_residual, float(blk["residual"][mask].max(initial=0.0)))
         n, s = len(arms[0]["ok"]), 0
         while s < n:
             e = min(n, s + rows - filled)
             part = slice(filled, filled + e - s)
-            for blk, (rate, power, ok) in zip(arms, chunks):
-                # a rejected draw's SINR is 0, so its rate is 0 too
-                np.log1p(blk["sinr"][s:e], out=rate[part])
-                rate[part] /= _LN2
+            for blk, (sinr, power, ok) in zip(arms, chunks):
+                sinr[part] = blk["sinr"][s:e]
                 power[part] = blk["power"][s:e]
                 ok[part] = blk["ok"][s:e]
             filled += e - s

@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import register_criterion
+from conftest import figure, register_criterion
 from test_synthesis import _scan_invert
 
 from apermimo import engine
@@ -153,14 +153,17 @@ def test_criterion_1_zero_forcing_exactness():
         f"PASS zero-forcing exactness: max|HW - I| = {worst:.2e} over "
         f"{accepted} accepted realizations (limits 1e-9, 60s)"
     )
+    figs = [figure("max|HW - I|", worst, hi=1e-9),
+            figure("accepted realizations", accepted, lo=10_000),
+            figure("within 60 s", elapsed < 60.0, 1, 1)]
     try:
         assert accepted >= 10_000
         assert worst <= 1e-9
         assert elapsed < 60.0
     except AssertionError:
-        register_criterion(1, line.replace("PASS", "FAIL", 1), elapsed)
+        register_criterion(1, line.replace("PASS", "FAIL", 1), elapsed, figs)
         raise
-    register_criterion(1, line, elapsed)
+    register_criterion(1, line, elapsed, figs)
 
 
 # -------------------------------------------------------------- criterion 2
@@ -201,6 +204,8 @@ def test_criterion_2_density_taper_oracle():
         f"1e6-point scan over 100 random profiles (limit 1e-6); uniform profile "
         f"exact: {uniform_exact}"
     )
+    figs = [figure("max taper deviation (wavelengths)", worst, hi=1e-6),
+            figure("uniform profile exact", uniform_exact, 1, 1)]
     try:
         assert worst <= 1e-6
         assert uniform_exact
@@ -208,9 +213,9 @@ def test_criterion_2_density_taper_oracle():
             regular_layout(8, 7.0).positions, uniform.positions
         )
     except AssertionError:
-        register_criterion(2, line.replace("PASS", "FAIL", 1))
+        register_criterion(2, line.replace("PASS", "FAIL", 1), figures=figs)
         raise
-    register_criterion(2, line)
+    register_criterion(2, line, figures=figs)
 
 
 # -------------------------------------------------------------- criterion 3
@@ -240,13 +245,16 @@ def test_criterion_3_environment_trend(env_trend_compares):
         f"{'PASS' if rich_ok and monotone_ok else 'FAIL'} environment trend "
         f"({trail} dB): non-increasing within 95% CI, |L=20| <= 0.5; {soft}"
     )
+    figs = [figure("SINRG non-increasing in L", monotone_ok, 1, 1),
+            figure("L=20 SINRG dB", gains[20], -0.5, 0.5),
+            figure("L=1 SINRG dB (soft)", gains[1], 2.0, 4.0)]
     try:
         assert rich_ok, f"rich-multipath SINRG {gains[20]:+.3f} dB exceeds 0.5"
         assert monotone_ok, f"SINRG not non-increasing within CI: {gains}"
     except AssertionError:
-        register_criterion(3, line)
+        register_criterion(3, line, figures=figs)
         raise
-    register_criterion(3, line)
+    register_criterion(3, line, figures=figs)
 
 
 # -------------------------------------------------------------- criterion 4
@@ -266,12 +274,13 @@ def test_criterion_4_size_scaling(compare_16x4, compare_16x8):
         f"{'PASS' if g8 >= 8.0 else 'FAIL'} size scaling: 16x8 SINRG "
         f"{g8:+.2f} dB (required >= 8); 16x4 SINRG {g4:+.2f} dB; {soft}"
     )
+    figs = [figure("16x8 SINRG dB", g8, lo=8.0), figure("16x4 SINRG dB (soft)", g4, 0.5, 2.0)]
     try:
         assert g8 >= 8.0
     except AssertionError:
-        register_criterion(4, line)
+        register_criterion(4, line, figures=figs)
         raise
-    register_criterion(4, line)
+    register_criterion(4, line, figures=figs)
 
 
 # -------------------------------------------------------------- criterion 5
@@ -283,12 +292,13 @@ def test_criterion_5_sum_rate_gain(compare_16x8):
         f"PASS sum-rate gain: 16x8 aperiodic over regular "
         f"{100 * gain:+.2f}% (band [7%, 17%])"
     )
+    figs = [figure("16x8 sum-rate gain fraction", gain, 0.07, 0.17)]
     try:
         assert 0.07 <= gain <= 0.17
     except AssertionError:
-        register_criterion(5, line.replace("PASS", "FAIL", 1))
+        register_criterion(5, line.replace("PASS", "FAIL", 1), figures=figs)
         raise
-    register_criterion(5, line)
+    register_criterion(5, line, figures=figs)
 
 
 # -------------------------------------------------------------- criterion 6
@@ -308,6 +318,9 @@ def test_criterion_6_power_profile(compare_16x8):
         f"edges ({edge_max}); taper reduction {reduction:.2f} dB "
         f"(band 2.8 +/- 1); edge variance aperiodic <= regular ({edge_var_ok})"
     )
+    figs = [figure("regular profile peaks at the edges", edge_max, 1, 1),
+            figure("taper reduction dB", reduction, 1.8, 3.8),
+            figure("edge variance aperiodic <= regular", edge_var_ok, 1, 1)]
     try:
         assert edge_max, f"regular profile peaks at element {int(np.argmax(reg_mu))}"
         assert 1.8 <= reduction <= 3.8, f"taper reduction {reduction:.3f} dB"
@@ -316,9 +329,9 @@ def test_criterion_6_power_profile(compare_16x8):
             f"vs regular ({reg_s2[0]:.3e}, {reg_s2[-1]:.3e})"
         )
     except AssertionError:
-        register_criterion(6, line)
+        register_criterion(6, line, figures=figs)
         raise
-    register_criterion(6, line)
+    register_criterion(6, line, figures=figs)
 
 
 # -------------------------------------------------------------- criterion 7
@@ -332,12 +345,13 @@ def test_criterion_7_link_duality(env_trend_compares, downlink_compare):
         f"PASS link duality: 8x2 SINRG uplink {up:+.2f} dB vs downlink "
         f"{down:+.2f} dB, gap {gap:.2f} dB (limit 1)"
     )
+    figs = [figure("uplink-downlink SINRG gap dB", gap, hi=1.0)]
     try:
         assert gap <= 1.0
     except AssertionError:
-        register_criterion(7, line.replace("PASS", "FAIL", 1))
+        register_criterion(7, line.replace("PASS", "FAIL", 1), figures=figs)
         raise
-    register_criterion(7, line)
+    register_criterion(7, line, figures=figs)
 
 
 # -------------------------------------------------------------- criterion 8
@@ -367,15 +381,19 @@ def test_criterion_8_crowdedness_sweep(sweep_rows):
         f"{psc64[0.10]:+.2f}/{psc64[0.25]:+.2f}/{psc64[0.30]:+.2f} dB in "
         f"[0.5, 4]; {soft}"
     )
+    figs = [figure("SINRG rises with crowdedness", trend_ok, 1, 1),
+            *(figure(f"M=64 PSC dB at {c:.0%}", psc64[c], 0.5, 4.0) for c in crowds),
+            figure("M=64 SINRG dB at 10% (soft)", g64[0.10], lo=2.0),
+            figure("M=64 SINRG dB at 30% (soft)", g64[0.30], lo=10.0)]
     try:
         assert trend_ok, {
             m: [sweep_rows[(m, c)].sinrg_db for c in crowds] for m in (16, 32, 64)
         }
         assert psc_ok, psc64
     except AssertionError:
-        register_criterion(8, line)
+        register_criterion(8, line, figures=figs)
         raise
-    register_criterion(8, line)
+    register_criterion(8, line, figures=figs)
 
 
 # -------------------------------------------------------------- criterion 9
@@ -404,13 +422,15 @@ def test_criterion_9_worker_determinism(tmp_path):
         f"PASS determinism: 1 vs 8 workers byte-identical "
         f"(summary.json sha256 {sha[:12]}..., all CSVs equal)"
     )
+    figs = [figure("outputs byte-identical", all(identical), 1, 1),
+            figure("manifest digests equal", digests_match, 1, 1)]
     try:
         assert all(identical)
         assert digests_match
     except AssertionError:
-        register_criterion(9, line.replace("PASS", "FAIL", 1))
+        register_criterion(9, line.replace("PASS", "FAIL", 1), figures=figs)
         raise
-    register_criterion(9, line)
+    register_criterion(9, line, figures=figs)
 
 
 # ------------------------------------------------------------- criterion 10
@@ -438,40 +458,58 @@ def test_criterion_10_statistical_plumbing():
         f"{worst_rel:.2e} (limit 1e-12); histogram 5th percentile of 1e5 "
         f"standard-normal samples {p05:+.3f} (target -1.645 +/- 0.03)"
     )
+    figs = [figure("split-merge relative error", worst_rel, hi=1e-12),
+            figure("standard-normal 5th percentile", p05, -1.675, -1.615)]
     try:
         assert worst_rel <= 1e-12
         assert abs(p05 - (-1.645)) <= 0.03
     except AssertionError:
-        register_criterion(10, line.replace("PASS", "FAIL", 1))
+        register_criterion(10, line.replace("PASS", "FAIL", 1), figures=figs)
         raise
-    register_criterion(10, line)
+    register_criterion(10, line, figures=figs)
 
 
 # ------------------------------------------------------- criteria as data
 
 
 def test_criteria_file_marks_moved_lines(tmp_path, monkeypatch, capsys):
-    """register_criterion keeps each criterion's latest line in the criteria
-    file, and the printer marks exactly the lines that moved between two; an
-    elapsed time is echoed but not kept, so it moves no line."""
+    """register_criterion keeps each criterion's latest line and figures in
+    the criteria file, and the printer marks exactly the lines that moved
+    between two and every figure of the second outside its band; an elapsed
+    time is echoed but not kept, so it moves no line. A file of lines only
+    reads as one without figures."""
     import conftest
 
     monkeypatch.setattr(conftest, "ACCEPTANCE_LINES", {})
     monkeypatch.setattr(conftest, "CRITERIA_FILE", tmp_path / "run" / "criteria.json")
-    register_criterion(1, "PASS a 1.0", elapsed=0.24)
-    register_criterion(2, "PASS b")
+    register_criterion(1, "PASS a 1.0", elapsed=0.24, figures=[figure("a", 1.0, hi=2.0)])
+    register_criterion(2, "PASS b", figures=[figure("b", 0.5, 1.0, 3.0), figure("ok", True, 1, 1)])
     before = tmp_path / "before.json"
     before.write_text(conftest.CRITERIA_FILE.read_text())
-    register_criterion(1, "PASS a 1.0", elapsed=0.31)
-    register_criterion(2, "PASS b moved")
-    register_criterion(10, "PASS c")
+    register_criterion(1, "PASS a 1.0", elapsed=0.31, figures=[figure("a", 2.5, hi=2.0)])
+    register_criterion(2, "PASS b moved",
+                       figures=[figure("b", 0.75, 1.0, 3.0), figure("ok", False, 1, 1)])
+    register_criterion(10, "PASS c", figures=[figure("c", -1.0, lo=0.0)])
     assert conftest.ACCEPTANCE_LINES[1] == "PASS a 1.0 [0.3s]"
     assert conftest._print_criteria_diff(before, conftest.CRITERIA_FILE) == 2
     assert capsys.readouterr().out.splitlines() == [
         "  criterion  1: PASS a 1.0",
+        "!   a = 2.5 outside [-inf, 2]: left its band",
         "* criterion  2: PASS b moved",
         "           was: PASS b",
+        "!   b = 0.75 outside [1, 3]: outside before too",
+        "!   ok = 0 outside [1, 1]: left its band",
         "* criterion 10: PASS c",
         "           was: (absent)",
-        "2 of 3 criterion lines moved",
+        "!   c = -1 outside [0, inf]: not kept before",
+        "2 of 3 criterion lines moved; figures outside their band: 4",
+    ]
+    lines_only = tmp_path / "lines.json"
+    lines_only.write_text(json.dumps({"1": "PASS a 1.0", "2": "PASS b"}))
+    assert conftest._print_criteria_diff(lines_only, before) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  criterion  1: PASS a 1.0",
+        "  criterion  2: PASS b",
+        "!   b = 0.5 outside [1, 3]: not kept before",
+        "0 of 2 criterion lines moved; figures outside their band: 1",
     ]

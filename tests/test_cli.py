@@ -782,9 +782,9 @@ _GOLDEN_RUNS = {
         {
             "cdf.csv": "a46bd01f854eb0313a866c25dbd9c3c5b82c2d015f78ed701b4cf0ac12ad66ba",
             "layout.csv": "1302ae728be9b2ba7cc1f49cd0f3d46fb0aad6a88b9169729524aa1cf88e1241",
-            "manifest.json": "bb2fa8fe0b9ae6e282ae6d1c5a1b04199383aee38fd682c2efa08f8deed394eb",
+            "manifest.json": "fb0d2bded9243c16fd88cb5a2d19eda9e42d39e406f9df92f9ec379ae0f68b32",
             "power.csv": "24501610538498d8e3b391c8589683a4fa697b287c048e64ed5ffd89d82c101c",
-            "summary.json": "9e3b6d4e7c3ba936cecf2722bfa27bc43cd042529841d442ed0a7a431cd1c9b8",
+            "summary.json": "e5c85c0aa1dc8833b68ba5e49f51cbcc96db85009d22569bc2a1241314638553",
         },
     ),
     "simulate-downlink": (
@@ -793,17 +793,17 @@ _GOLDEN_RUNS = {
         {
             "cdf.csv": "6e755670a0211557e7fca33c42b339bd93153d48efadf9d89ada1036e2f7d588",
             "layout.csv": "8c3585b2cb8eecf958e3038c2102cc2b543e73753777eb275f1d708beffa1e9c",
-            "manifest.json": "5b8cf98349cec719572a32e4c8679e8619cfdd26b813a828acb901a0e88b5b2b",
+            "manifest.json": "25a6074c1e0fa15b7d9464450465bd265f2e0c302227854020cbcbd6d6412fb0",
             "power.csv": "0a1c577331cfb4aed1e4d8f9690a09f52e1302144edb6d52b149a2ad661595b6",
-            "summary.json": "efa8da3bba5607b27ed2deb471d22af6a81f2392e539747bd8cc33f119e3cbed",
+            "summary.json": "e2744a083f6f782aad976d0e9deb0ff9a91a812bd5bee11ef9e0413025154441",
         },
     ),
     "synthesize": (
         ["synthesize", "--M", "6", "--K", "2", "--oversampling", "2",
          "--synthesis-realizations", "1200", "--seed", "13"],
         {
-            "layout.csv": "f6ea5431cdcb8d7ad620553c816a34e5d91159bc22b2b071b26bd7b1b6cd1de3",
-            "manifest.json": "64f22127611f66b728311d99af204815df2ab1c49f45b3acf6a443b061f963f2",
+            "layout.csv": "918dc5839f6f7fc7a9551c069061ab7a9abc07761da147729b2eadf59823a345",
+            "manifest.json": "36b154d0381cc486df0a7890e0d402395b1f3941d42549c262df70ebae098a20",
             "mu_profile.csv": "29247b75082c2462e0843901dcbab882f1ec2e55470ea3a549e2735cc313e26a",
             "summary.json": "43726297d1c385e9157b05dcecedf0a76c33c8752627df220b9b57d34e3a4a8c",
         },
@@ -814,12 +814,12 @@ _GOLDEN_RUNS = {
         {
             "cdf_aperiodic.csv": "ea20d8fe92b197f1dcbfdb10de9f7bbd3d8c9273d3536ce40cd4986d433cf826",
             "cdf_regular.csv": "3a89017a788d6054896f3c94aa587a4570b9fea9485f4673214e114b3c9863ec",
-            "layout_aperiodic.csv": "393366c15d6a2122d94497fe2b6ad6a635c856f228a24e8030a02c7c02705e43",
+            "layout_aperiodic.csv": "03f5e237fa7a8f83f92efcdf68a07114d206a9abef4b88b91bacc516d04727f9",
             "layout_regular.csv": "1302ae728be9b2ba7cc1f49cd0f3d46fb0aad6a88b9169729524aa1cf88e1241",
-            "manifest.json": "f727ce1133536b1d15a617378c58c995f54d25c5b8def68066327600a8029e75",
+            "manifest.json": "954176d90d59aa58b817db255a0fdd576741cf2108c4ccf5a276f723daafa5ff",
             "power_aperiodic.csv": "a1b2b7f1c6ca94430f817cf51c032a1b090628b5220b9891ff768631a4470bb8",
             "power_regular.csv": "508e3dc4936968073fceddf56036925dd7b8c5a9e0765cfc59e7bd7c65f03f82",
-            "summary.json": "6e09fbd7609b454b0c68ee64ff0e8fccba24542ba36c854b4cc935e9324cb54c",
+            "summary.json": "3cd99c29ba5bf638de8d72da828f4ee761f41fa79ac5cbc57e0b9cb9f66fd535",
         },
     ),
     # the first grid point (M=2, 0.1) is infeasible: the header scenario is
